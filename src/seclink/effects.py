@@ -128,10 +128,6 @@ class Event:
 Trace = tuple[Event, ...]
 
 
-def extend_history(h: Trace, lt) -> Trace:
-    return tuple(reversed(tuple(lt))) + tuple(h)
-
-
 class Comp:
     """Base class of computation tree nodes."""
 

@@ -1,10 +1,11 @@
 """Deterministic interpreter: runs a computation tree against a world.
 
-Alongside the world it maintains ghost state: the full event history and
-the current monitor-state value, updated on every recorded event.  In check
-mode (the default) it asserts after every step that the monitor state still
-abstracts the history, and it audits the capability discipline: every
-context-tagged IO call must have come through the secure library.
+Alongside the world it maintains ghost state: the events of this run and
+the monitor-state value, updated on every recorded event.  In check mode
+(the default) it advances the abstraction fold beside the state and asserts
+that they agree, at O(|state|) per check: for the seeded history, after
+every event and at every state read.  It also audits the capability
+discipline: every context-tagged IO call must come through the secure library.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .effects import (
     Ret,
     Trace,
 )
-from .monitor import MStateDesc, replay
+from .monitor import MStateDesc, abstraction, replay
 
 
 class CapabilityError(AssertionError):
@@ -64,13 +65,13 @@ def interpret(
     mid-execution configurations.
     """
     w = world.clone()
-    history = list(reversed(seed_history))  # most recent first
     local: list[Event] = []
     state = replay(desc, seed_history)
     ctx_events = 0
     monitored_calls = 0
 
-    if check and not desc.abstracts(state, tuple(history)):
+    alpha = abstraction(desc, seed_history) if check else None
+    if check and not desc.agree(state, alpha):
         raise GhostInvariantError("seeded state does not abstract seeded history")
 
     cur = comp
@@ -83,7 +84,7 @@ def interpret(
                 result=cur.value,
                 world=w,
                 local=tuple(local),
-                history=tuple(history),
+                history=tuple(reversed(local)) + tuple(reversed(seed_history)),
                 mstate=state,
                 ctx_events=ctx_events,
                 monitored_calls=monitored_calls,
@@ -92,7 +93,7 @@ def interpret(
             raise TypeError(f"not a computation: {cur!r}")
 
         if cur.op is GET_MSTATE:
-            if check and not desc.abstracts(state, tuple(history)):
+            if check and not desc.agree(state, alpha):
                 raise GhostInvariantError("state does not abstract history at state read")
             cur = cur.cont(state)
             continue
@@ -111,11 +112,12 @@ def interpret(
         arg = worlds.canon_arg(cur.op, cur.arg)
         result = worlds.step(w, cur.caller, cur.op, arg)
         event = Event(cur.caller, cur.op, arg, result)
-        history.insert(0, event)
         local.append(event)
         state = desc.upd(state, event)
-        if check and not desc.abstracts(state, tuple(history)):
-            raise GhostInvariantError(
-                f"state update broke the abstraction after {event.render()}"
-            )
+        if check:
+            alpha = desc.alpha_step(alpha, event)
+            if not desc.agree(state, alpha):
+                raise GhostInvariantError(
+                    f"state update broke the abstraction after {event.render()}"
+                )
         cur = cur.cont(result)

@@ -1,13 +1,14 @@
 """Monitor states, state-level policies, and the secure IO library.
 
 A monitor-state descriptor picks a summary of the history (the carrier),
-says what it means for a summary to be faithful (`abstracts`), and how to
-maintain it per event (`upd`).  Two laws make a descriptor usable, both
-checked by the test suite rather than proven:
+how to maintain it per event (`upd`), and, independently, what a faithful
+summary is: a left fold over the history (`alpha_init`, `alpha_step`) and
+`agree(state, alpha)`; `abstracts(s, h)` is `agree` after folding `h`.
+Two laws make a descriptor usable, checked by the test suite rather than
+proven, and by the interpreter beside `upd` at O(|state|) per event:
 
-- the initial state abstracts the empty history;
-- if a state abstracts a history, the updated state abstracts the
-  extended history, for every event.
+- `init` agrees with `alpha_init`;
+- `upd` and `alpha_step` applied to the same event preserve `agree`.
 
 A policy decides IO requests from untrusted code using only the monitor
 state; its soundness obligation is that acceptance implies the trace-level
@@ -17,7 +18,9 @@ packages a policy as the one handle untrusted code gets for doing IO.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+import operator
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Generic, Iterable, TypeVar
 
 from .effects import (
@@ -26,6 +29,7 @@ from .effects import (
     Event,
     IoOp,
     Ret,
+    Trace,
     bind,
     call_io,
     contract_failure,
@@ -41,16 +45,28 @@ S = TypeVar("S")
 class MStateDesc(Generic[S]):
     name: str
     init: S
-    abstracts: Callable[[S, tuple[Event, ...]], bool]
     upd: Callable[[S, Event], S]
+    alpha_init: Any
+    alpha_step: Callable[[Any, Event], Any]
+    agree: Callable[[S, Any], bool]
+    # (state, history) -> faithful?  Derived from the fold when None;
+    # `dataclasses.replace` carries it over unchanged.
+    abstracts: Callable[[S, Trace], bool] | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.abstracts is None:
+            derived = lambda s, h: self.agree(s, abstraction(self, reversed(h)))
+            object.__setattr__(self, "abstracts", derived)
 
 
 def replay(desc: MStateDesc, events: Iterable[Event]):
     """Fold the update function over a chronological event sequence."""
-    state = desc.init
-    for e in events:
-        state = desc.upd(state, e)
-    return state
+    return functools.reduce(desc.upd, events, desc.init)
+
+
+def abstraction(desc: MStateDesc, events: Iterable[Event]):
+    """Fold the abstraction over a chronological event sequence."""
+    return functools.reduce(desc.alpha_step, events, desc.alpha_init)
 
 
 # (state, op, arg) -> allow?
@@ -99,29 +115,46 @@ class WebServerState:
     written: tuple[int, ...] = ()
 
 
-def _ws_abstracts(s: WebServerState, h) -> bool:
-    """Single chronological pass computing the same sets the per-descriptor
-    trace oracles (is_opened_by_ctx, did_not_respond, wrote_to) describe."""
-    owner: dict[int, Caller] = {}
-    written: set[int] = set()
-    responded = False
-    for e in reversed(h):
-        if e.op in (IoOp.OPENFILE, IoOp.SOCKET, IoOp.ACCEPT) and is_ok(e.result):
-            owner[e.result.value] = e.caller
-        elif e.op is IoOp.CLOSE and is_ok(e.result):
-            owner.pop(e.arg, None)
-        if e.op is IoOp.READ and is_ok(e.result):
-            responded = False
-        elif e.op is IoOp.WRITE:
-            written.add(e.arg[0])
-            if e.caller is Caller.PROG:
-                responded = True
-    ctx_opened = {fd for fd, caller in owner.items() if caller is Caller.CTX}
-    return (
-        set(s.ctx_opened) == ctx_opened
-        and s.responded == responded
-        and set(s.written) == written
-    )
+class _Written(frozenset):
+    """Descriptors written to; `listed_by` caches the last (immutable) state
+    tuple found to list exactly these members."""
+
+    __slots__ = ("listed_by",)
+
+
+# Derived from the trace oracles' view (`is_opened_by_ctx`, `wrote_to`,
+# `did_not_respond`), not from `_ws_upd`: live descriptor -> opener, every
+# descriptor written to, and the responded flag.
+_WS_ALPHA_INIT = ({}, _Written(), False)
+
+
+def _ws_alpha_step(a, e: Event):
+    owner, written, responded = a
+    if e.op in (IoOp.OPENFILE, IoOp.SOCKET, IoOp.ACCEPT) and is_ok(e.result):
+        owner = {**owner, e.result.value: e.caller}
+    elif e.op is IoOp.CLOSE and is_ok(e.result) and e.arg in owner:
+        owner = {fd: c for fd, c in owner.items() if fd != e.arg}
+    if e.op is IoOp.READ and is_ok(e.result):
+        responded = False
+    elif e.op is IoOp.WRITE:
+        if e.arg[0] not in written:
+            written = _Written(written | {e.arg[0]})
+        if e.caller is Caller.PROG:
+            responded = True
+    return owner, written, responded
+
+
+def _ws_agree(s: WebServerState, a) -> bool:
+    """The state's tuples list exactly the abstraction's sets, each member once."""
+    owner, written, responded = a
+    ctx_opened = sorted(fd for fd, caller in owner.items() if caller is Caller.CTX)
+    if s.responded != responded or sorted(s.ctx_opened) != ctx_opened:
+        return False
+    if getattr(written, "listed_by", None) is not s.written:
+        if len(s.written) != len(written) or not written.issuperset(s.written):
+            return False
+        written.listed_by = s.written
+    return True
 
 
 def _ws_upd(s: WebServerState, e: Event) -> WebServerState:
@@ -145,30 +178,20 @@ def _ws_upd(s: WebServerState, e: Event) -> WebServerState:
 
 
 def webserver_mstate() -> MStateDesc[WebServerState]:
-    return MStateDesc("webserver", WebServerState(), _ws_abstracts, _ws_upd)
+    return MStateDesc("webserver", WebServerState(), _ws_upd, _WS_ALPHA_INIT, _ws_alpha_step, _ws_agree)
 
 
 def full_trace_mstate() -> MStateDesc[tuple[Event, ...]]:
     """The history itself, most recent first."""
-    return MStateDesc(
-        "full-trace",
-        (),
-        lambda s, h: s == tuple(h),
-        lambda s, e: (e,) + s,
-    )
+    return MStateDesc("full-trace", (), lambda s, e: (e,) + s, (), lambda a, e: (e,) + a, operator.eq)
 
 
 def last_event_mstate() -> MStateDesc[Event | None]:
-    return MStateDesc(
-        "last-event",
-        None,
-        lambda s, h: s == (h[0] if h else None),
-        lambda s, e: e,
-    )
+    return MStateDesc("last-event", None, lambda s, e: e, None, lambda a, e: e, operator.eq)
 
 
 def stateless_mstate() -> MStateDesc[None]:
-    return MStateDesc("stateless", None, lambda s, h: s is None, lambda s, e: None)
+    return MStateDesc("stateless", None, lambda s, e: None, None, lambda a, e: None, operator.is_)
 
 
 SHIPPED_MSTATES = {

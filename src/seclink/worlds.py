@@ -67,9 +67,6 @@ class World:
     def clone(self) -> "World":
         return copy.deepcopy(self)
 
-    def client_fds(self) -> list[int]:
-        return [fd for fd, e in self.fds.items() if isinstance(e, ClientFd)]
-
 
 def make_world(files=None, requests=None, max_iterations=8) -> World:
     return World(
@@ -110,9 +107,11 @@ def load_scenario(text: str) -> World:
             raw = base64.b64decode(req["raw_request_bytes"], validate=True)
         except Exception as exc:
             raise ScenarioError(f"request {i}: bad base64 bytes") from exc
-        decoded_requests.append((int(req["client_id"]), raw))
+        if type(req["client_id"]) is not int:  # also rejects true/false
+            raise ScenarioError(f"request {i}: client_id must be an integer")
+        decoded_requests.append((req["client_id"], raw))
     max_iterations = data.get("max_iterations", 8)
-    if not isinstance(max_iterations, int) or max_iterations < 0:
+    if type(max_iterations) is not int or max_iterations < 0:
         raise ScenarioError('"max_iterations" must be a non-negative integer')
     return make_world(decoded_files, decoded_requests, max_iterations)
 

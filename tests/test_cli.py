@@ -98,6 +98,18 @@ def test_bad_scenario_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "fields",
+    ['"requests": [{"client_id": null, "raw_request_bytes": ""}]', '"max_iterations": true'],
+)
+def test_ill_typed_scenario_field(tmp_path, capsys, fields):
+    path = tmp_path / "bad.json"
+    path.write_text("{" + fields + "}")
+    code = main(["run", "--scenario", str(path), "--program", "webserver", "--context", "benign"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("scenario error: ")
+
+
 def test_context_source_file(scenario, tmp_path, capsys):
     source = tmp_path / "h.ctx"
     source.write_text('\\c:fd. \\r:bytes. \\s:(bytes -> either unit err). s "hello"')

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -44,18 +45,64 @@ def test_update_preserves_abstraction(desc):
 
 
 def test_webserver_state_matches_trace_oracles():
+    # both the state and the abstraction fold's components, on every prefix
+    desc = webserver_mstate()
     rng = random.Random(11)
     for _ in range(200):
         events = random_trace(rng, 14)
-        state = webserver_mstate().init
+        state = desc.init
+        owner, written, responded = desc.alpha_init
         history = ()
         for e in events:
-            state = webserver_mstate().upd(state, e)
+            state = desc.upd(state, e)
+            owner, written, responded = desc.alpha_step((owner, written, responded), e)
             history = (e,) + history
             for fd in range(1, 9):
                 assert (fd in state.ctx_opened) == is_opened_by_ctx(fd, history)
-                assert (fd in state.written) == wrote_to(fd, history)
-            assert state.responded == (not did_not_respond(history))
+                assert (owner.get(fd) is Caller.CTX) == is_opened_by_ctx(fd, history)
+                assert (fd in state.written) == (fd in written) == wrote_to(fd, history)
+            assert state.responded == responded == (not did_not_respond(history))
+
+
+FILLER = Event(Caller.PROG, IoOp.SOCKET, (), Ok(3))
+
+
+def _altered(e: Event) -> Event:
+    return replace(e, caller=Caller.CTX if e.caller is Caller.PROG else Caller.PROG)
+
+
+def _perturbed(name, state, history):
+    """States that differ from the faithful `state` in one observable place."""
+    if name == "webserver":
+        out = [replace(state, responded=not state.responded)]
+        for part in ("ctx_opened", "written"):
+            fds = getattr(state, part)
+            out.append(replace(state, **{part: fds + (99,)}))
+            if fds:
+                out.append(replace(state, **{part: fds[1:]}))
+        return out
+    if name == "full-trace":
+        return [state[:i] + state[i + 1 :] for i in range(len(state))] + [
+            state[:i] + (_altered(state[i]),) + state[i + 1 :] for i in range(len(state))
+        ]
+    if name == "last-event":
+        return [_altered(history[0]), None] if history else [_altered(FILLER)]
+    return [(), 0, FILLER]
+
+
+@pytest.mark.parametrize("desc", ALL_DESCS, ids=lambda d: d.name)
+def test_perturbed_states_do_not_abstract(desc):
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(200):
+        events = random_trace(rng, 12)
+        history = tuple(reversed(events))
+        state = replay(desc, events)
+        assert desc.abstracts(state, history)
+        for wrong in _perturbed(desc.name, state, history):
+            assert not desc.abstracts(wrong, history), (wrong, history)
+            checked += 1
+    assert checked >= 200
 
 
 def test_webserver_upd_examples():

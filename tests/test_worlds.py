@@ -133,6 +133,12 @@ def test_scenario_round_trip():
         '{"files": {"/a": "not base64!!"}}',
         '{"max_iterations": -1}',
         "not json",
+        '{"requests": [{"client_id": null, "raw_request_bytes": ""}]}',
+        '{"requests": [{"client_id": true, "raw_request_bytes": ""}]}',
+        '{"requests": [{"client_id": 1.7, "raw_request_bytes": ""}]}',
+        '{"requests": [{"client_id": "1", "raw_request_bytes": ""}]}',
+        '{"max_iterations": true}',
+        '{"max_iterations": 1.7}',
     ],
 )
 def test_scenario_validation_errors(payload):

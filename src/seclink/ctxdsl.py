@@ -51,7 +51,7 @@ from .contracts import (
     TypeDesc,
     UnitT,
 )
-from .effects import Comp, IoOp, Lazy, Ret, bind, do, is_err, ret
+from .effects import Comp, IoOp, bind, do, evaluate, is_err, ret
 from .monitor import SecureIoLib
 
 # ---------------------------------------------------------------------------
@@ -674,14 +674,6 @@ def _eval(expr: CtxExpr, env: dict, lib: SecureIoLib) -> Comp:
     raise TypeError(f"unknown expression {expr!r}")
 
 
-def _force_value(comp: Comp) -> DynValue:
-    while isinstance(comp, Lazy):
-        comp = comp.force()
-    if isinstance(comp, Ret):
-        return comp.value
-    raise TranslateError("a context must be a value; effects belong inside its functions")
-
-
 def _adapt_out(v: DynValue, td: TypeDesc) -> DynValue:
     """Shape a language value to the boundary type (uncurry functions)."""
     if isinstance(td, ArrowT):
@@ -715,7 +707,7 @@ def _adapt_in(v: DynValue, td: TypeDesc) -> DynValue:
                 return bind(v.fn(*outward), lambda r: ret(_adapt_in(r, cod)))
             return ret(DClosure(lambda arg: chain(collected + [arg])))
 
-        return _force_value(chain([]))
+        return DClosure(lambda arg: chain([arg]))
     if isinstance(td, PairT):
         return DPair(_adapt_in(v.fst, td.fst), _adapt_in(v.snd, td.snd))
     if isinstance(td, EitherT):
@@ -730,8 +722,12 @@ def translate(expr: CtxExpr, ctype: TypeDesc):
     typecheck(expr, curried_view(ctype))
 
     def target_ctx(lib: SecureIoLib) -> DynValue:
-        value = _force_value(_eval(expr, _prim_closures(), lib))
-        return _adapt_out(value, ctype)
+        # A context is a value: it may not reach an operation call.
+        try:
+            next(evaluate(_eval(expr, _prim_closures(), lib)))
+        except StopIteration as done:
+            return _adapt_out(done.value, ctype)
+        raise TranslateError("a context must be a value; effects belong inside its functions")
 
     return target_ctx
 

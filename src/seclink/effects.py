@@ -1,10 +1,12 @@
-"""Computation trees over a monitored IO signature.
+"""Computation trees over a monitored IO signature, and the loop that runs them.
 
-A computation is a finite tree: leaves return values, inner nodes are
-caller-tagged operation calls waiting for a result.  Programs are written
-either with the `ret`/`bind` combinators or with the `@do` generator
-notation; both build the same trees.  Trees are pure descriptions: running
-them is the job of `seclink.interp`.
+A computation is a tree of three node kinds: `Ret(value)`, an operation
+`Call` awaiting its result, and `Bind(m, f)`.  Programs are written either
+with the `ret`/`bind` combinators or with the `@do` generator notation;
+both build the same trees, and `bind` only allocates a node.  `evaluate`,
+the one loop that runs trees, keeps continuations on an explicit stack and
+hands each `Call` to its driver (`seclink.interp`): O(1) per operation at
+any nesting depth, and no Python recursion.
 
 Caller tags distinguish trusted program code from untrusted context code.
 Context code never constructs IO call nodes directly; it goes through the
@@ -39,21 +41,8 @@ class IoOp(Enum):
     SETNONBLOCK = "SetNonblock"
 
 
-class _GetMState:
-    """Singleton tag for the silent state-read operation (not an IoOp)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "GetMState"
-
-
-GET_MSTATE = _GetMState()
+# The silent state-read operation (not an IoOp).
+GET_MSTATE = object()
 
 
 class ErrCode(Enum):
@@ -144,15 +133,13 @@ class Call(Comp):
     caller: Caller
     op: Any  # IoOp or GET_MSTATE
     arg: Any
-    cont: Callable[[Any], Comp]
     via_monitor: bool = field(default=False)
 
 
 @dataclass(frozen=True, eq=False)
-class Lazy(Comp):
-    """Deferred subtree; `force` is pure and may be forced once per run."""
-
-    force: Callable[[], Comp]
+class Bind(Comp):
+    m: Comp
+    f: Callable[[Any], Comp]
 
 
 def ret(value) -> Comp:
@@ -160,25 +147,39 @@ def ret(value) -> Comp:
 
 
 def bind(m: Comp, f: Callable[[Any], Comp]) -> Comp:
-    if isinstance(m, Ret):
-        return Lazy(lambda: f(m.value))
-    if isinstance(m, Call):
-        cont = m.cont
-        return Call(m.caller, m.op, m.arg, lambda r: bind(cont(r), f), m.via_monitor)
-    if isinstance(m, Lazy):
-        force = m.force
-        return Lazy(lambda: bind(force(), f))
-    raise TypeError(f"not a computation: {m!r}")
+    return Bind(m, f)
+
+
+def evaluate(comp: Comp):
+    """Run `comp` as a generator: it yields each `Call` node, is sent that
+    call's result, and returns the computation's value.  A node that is not
+    a computation raises `TypeError`.
+    """
+    frames = []
+    cur = comp
+    while True:
+        if isinstance(cur, Bind):
+            frames.append(cur.f)
+            cur = cur.m
+            continue
+        if isinstance(cur, Ret):
+            value = cur.value
+        elif isinstance(cur, Call):
+            value = yield cur
+        else:
+            raise TypeError(f"not a computation: {cur!r}")
+        if not frames:
+            return value
+        cur = frames.pop()(value)
 
 
 def _advance(gen, value) -> Comp:
+    # One step of a `@do` body: the generator is the frame's state.
     try:
         step = gen.send(value)
     except StopIteration as stop:
         return Ret(stop.value)
-    if not isinstance(step, Comp):
-        raise TypeError(f"@do generator must yield computations, got {step!r}")
-    return bind(step, lambda r: _advance(gen, r))
+    return Bind(step, functools.partial(_advance, gen))
 
 
 def do(fn):
@@ -192,7 +193,7 @@ def do(fn):
 
     @functools.wraps(fn)
     def build(*args, **kwargs) -> Comp:
-        return Lazy(lambda: _advance(fn(*args, **kwargs), None))
+        return Bind(Ret(None), lambda _: _advance(fn(*args, **kwargs), None))
 
     return build
 
@@ -205,9 +206,9 @@ def call_io(caller: Caller, op: IoOp, arg, *, via_monitor: bool = False) -> Comp
     """
     if not isinstance(op, IoOp):
         raise TypeError(f"call_io expects an IO operation, got {op!r}")
-    return Call(caller, op, arg, Ret, via_monitor)
+    return Call(caller, op, arg, via_monitor)
 
 
 def get_mstate() -> Comp:
     """Read the current monitor state.  Records no event."""
-    return Call(Caller.PROG, GET_MSTATE, (), Ret)
+    return Call(Caller.PROG, GET_MSTATE, ())

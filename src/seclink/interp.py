@@ -1,4 +1,7 @@
-"""Deterministic interpreter: runs a computation tree against a world.
+"""Deterministic interpreter: the handler that runs a computation tree
+against a world.  It drives `effects.evaluate` and answers each call it
+yields: a state read with the monitor state, an IO call with one
+`worlds.step`.
 
 Alongside the world it maintains ghost state: the events of this run and
 the monitor-state value, updated on every recorded event.  In check mode
@@ -15,14 +18,12 @@ from dataclasses import dataclass
 from . import worlds
 from .effects import (
     GET_MSTATE,
-    Call,
     Caller,
     Comp,
     Event,
     IoOp,
-    Lazy,
-    Ret,
     Trace,
+    evaluate,
 )
 from .monitor import MStateDesc, abstraction, replay
 
@@ -74,14 +75,14 @@ def interpret(
     if check and not desc.agree(state, alpha):
         raise GhostInvariantError("seeded state does not abstract seeded history")
 
-    cur = comp
+    core = evaluate(comp)
+    value = None
     while True:
-        if isinstance(cur, Lazy):
-            cur = cur.force()
-            continue
-        if isinstance(cur, Ret):
+        try:
+            cur = core.send(value)
+        except StopIteration as done:
             return RunResult(
-                result=cur.value,
+                result=done.value,
                 world=w,
                 local=tuple(local),
                 history=tuple(reversed(local)) + tuple(reversed(seed_history)),
@@ -89,13 +90,11 @@ def interpret(
                 ctx_events=ctx_events,
                 monitored_calls=monitored_calls,
             )
-        if not isinstance(cur, Call):
-            raise TypeError(f"not a computation: {cur!r}")
 
         if cur.op is GET_MSTATE:
             if check and not desc.agree(state, alpha):
                 raise GhostInvariantError("state does not abstract history at state read")
-            cur = cur.cont(state)
+            value = state
             continue
 
         if not isinstance(cur.op, IoOp):
@@ -110,8 +109,8 @@ def interpret(
             monitored_calls += 1
 
         arg = worlds.canon_arg(cur.op, cur.arg)
-        result = worlds.step(w, cur.caller, cur.op, arg)
-        event = Event(cur.caller, cur.op, arg, result)
+        value = worlds.step(w, cur.caller, cur.op, arg)
+        event = Event(cur.caller, cur.op, arg, value)
         local.append(event)
         state = desc.upd(state, event)
         if check:
@@ -120,4 +119,3 @@ def interpret(
                 raise GhostInvariantError(
                     f"state update broke the abstraction after {event.render()}"
                 )
-        cur = cur.cont(result)

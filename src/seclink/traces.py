@@ -14,7 +14,7 @@ from __future__ import annotations
 import posixpath
 from typing import Any, Callable, Iterable
 
-from .effects import Caller, Event, IoOp, Trace, is_ok
+from .effects import Caller, Event, IoOp, Ok, Trace, is_ok
 
 # (history, caller, op, arg) -> allowed?
 PolicySpec = Callable[[Trace, Caller, IoOp, Any], bool]
@@ -89,15 +89,19 @@ def is_opened_by_prog(fd: int, h: Trace) -> bool:
     return _opener(fd, h) is Caller.PROG
 
 
+_ALLOCATORS = frozenset((IoOp.OPENFILE, IoOp.SOCKET, IoOp.ACCEPT))
+
+
 def _opener(fd: int, h: Trace) -> Caller | None:
     # Scan from most recent: a successful close ends the descriptor's life,
     # a successful allocation (open/socket/accept) reveals its owner.
     for e in h:
-        if e.op is IoOp.CLOSE and is_ok(e.result) and e.arg == fd:
-            return None
-        if e.op in (IoOp.OPENFILE, IoOp.SOCKET, IoOp.ACCEPT) and is_ok(e.result):
-            if e.result.value == fd:
-                return e.caller
+        op = e.op
+        if op is IoOp.CLOSE:
+            if e.arg == fd and isinstance(e.result, Ok):
+                return None
+        elif op in _ALLOCATORS and isinstance(e.result, Ok) and e.result.value == fd:
+            return e.caller
     return None
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from seclink.contracts import ArrowT, DClosure, DInt, EitherT, ErrT, FdT, IntT, typechecks
+from seclink.contracts import ArrowT, DClosure, DInt, DLeft, EitherT, ErrT, FdT, IntT, typechecks
 from seclink.ctxdsl import (
     App,
     BytesLit,
@@ -254,12 +254,20 @@ def test_translate_pure_function_value():
 
 def test_translate_rejects_toplevel_effects():
     from seclink.ctxdsl import TranslateError
+    from seclink.interp import interpret
     from seclink.monitor import enforce_policy, stateless_mstate
+    from seclink.worlds import make_world
 
     td = EitherT(FdT(), ErrT())
     lib = enforce_policy(lambda s, op, a: False, stateless_mstate())
     with pytest.raises(TranslateError):
         translate(parse("io Socket ()"), td)(lib)
+    with pytest.raises(TranslateError):
+        translate(parse("let f = io Socket () in 3"), IntT())(lib)
+    # a pure top-level binding is forced away, leaving the function value
+    fn = translate(parse("let k = 3 in \\x:int. inl k"), ArrowT((IntT(),), EitherT(IntT(), ErrT())))(lib)
+    assert isinstance(fn, DClosure)
+    assert interpret(fn.fn(DInt(1)), make_world(), stateless_mstate()).result == DLeft(DInt(3))
 
 
 def test_curried_view_of_handler_type():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,3 +211,67 @@ def test_do_reuses_fresh_generators():
     assert run(comp, w).result == 2
     assert run(comp, w).result == 2
     assert len(calls) == 2
+
+
+# -- the evaluation core: explicit stack, O(1) per operation ------------------
+
+
+def test_deep_do_nest_runs_without_recursion_error():
+    depth = 10**5
+
+    @do
+    def nest(n):
+        if n == 0:
+            r = yield call_io(Caller.PROG, IoOp.READ, 99)
+            return r
+        r = yield nest(n - 1)
+        return r
+
+    result = run(nest(depth), make_world())
+    assert result.result == Err(ErrCode.EBADF)
+    assert len(result.local) == 1
+
+
+def test_long_left_nested_bind_chain_runs_without_recursion_error():
+    length = 10**5
+    comp = bind(call_io(Caller.PROG, IoOp.READ, 99), lambda r: ret(0))
+    for _ in range(length):
+        comp = bind(comp, lambda x: ret(x + 1))
+    result = run(comp, make_world())
+    assert result.result == length
+    assert len(result.local) == 1
+
+
+def resume_stack_depth(nesting):
+    """Python stack depth at which the innermost `@do` body resumes after an
+    IO op, under `nesting` levels of `@do`."""
+    depths = []
+
+    @do
+    def nest(n):
+        if n == 1:
+            yield call_io(Caller.PROG, IoOp.READ, 99)
+            depths.append(len(inspect.stack(0)))
+            return 0
+        r = yield nest(n - 1)
+        return r
+
+    run(nest(nesting), make_world())
+    return depths[0]
+
+
+def test_resume_depth_does_not_grow_with_nesting():
+    assert resume_stack_depth(40) == resume_stack_depth(1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: bind(42, ret), id="bind-of-non-computation"),
+        pytest.param(lambda: do(lambda: (yield 42))(), id="do-body-yields-non-computation"),
+        pytest.param(lambda: bind(ret(1), lambda x: 42), id="continuation-returns-non-computation"),
+    ],
+)
+def test_non_computations_raise_type_error(build, small_world):
+    with pytest.raises(TypeError):
+        run(build(), small_world)

@@ -20,6 +20,7 @@ from seclink.traces import (
     in_folder,
     is_open,
     is_opened_by_ctx,
+    is_opened_by_prog,
     satisfies,
     wrote_to,
 )
@@ -146,6 +147,49 @@ def test_is_open_and_owner():
 def test_failed_close_keeps_open():
     h = (ev(Caller.PROG, IoOp.CLOSE, 5, Err(ErrCode.EBADF)), CTX_OPEN_A)
     assert is_opened_by_ctx(5, h)
+
+
+def reference_opener(fd, h):
+    """Plain scan from most recent: the first successful close of `fd` or
+    successful allocation returning `fd` decides."""
+    for e in h:
+        if e.op is IoOp.CLOSE and e.arg == fd and e.result == Ok(()):
+            return None
+        if e.op in (IoOp.OPENFILE, IoOp.SOCKET, IoOp.ACCEPT) and e.result == Ok(fd):
+            return e.caller
+    return None
+
+
+fds = st.integers(0, 4)
+callers = st.sampled_from([Caller.PROG, Caller.CTX])
+fd_events = st.one_of(
+    st.builds(
+        ev,
+        callers,
+        st.sampled_from([IoOp.OPENFILE, IoOp.SOCKET, IoOp.ACCEPT]),
+        st.just(()),
+        st.one_of(st.builds(Ok, fds), st.just(Err(ErrCode.ENOENT))),
+    ),
+    st.builds(
+        ev,
+        callers,
+        st.just(IoOp.CLOSE),
+        fds,
+        st.sampled_from([Ok(()), Err(ErrCode.EBADF)]),
+    ),
+    st.builds(lambda c, fd: ev(c, IoOp.READ, fd, Ok(b"x")), callers, fds),
+    st.builds(lambda c, fd: ev(c, IoOp.WRITE, (fd, b"x"), Ok(())), callers, fds),
+)
+
+
+@given(st.lists(fd_events, max_size=30), fds)
+@settings(max_examples=300, deadline=None)
+def test_opener_predicates_match_reference_scan(h, fd):
+    h = tuple(h)
+    owner = reference_opener(fd, h)
+    assert is_open(fd, h) == (owner is not None)
+    assert is_opened_by_ctx(fd, h) == (owner is Caller.CTX)
+    assert is_opened_by_prog(fd, h) == (owner is Caller.PROG)
 
 
 def test_did_not_respond_transitions():

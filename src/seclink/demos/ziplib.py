@@ -6,7 +6,8 @@ archive header and returns a second closure the program calls once per
 entry.  Both closures carry call contracts requiring their descriptor
 argument to be open, and the monitor confines the archiver to reading and
 writing descriptors the trusted side opened.  The monitor state here is
-the whole trace.
+the whole trace, whose owner map lets the policy and call checks decide in
+O(1); the trace-level specifications keep their scans.
 """
 
 from __future__ import annotations
@@ -47,16 +48,16 @@ def policy_spec(h, caller, op, arg) -> bool:
 
 
 def policy(s, op: IoOp, arg) -> bool:
-    # Full-trace monitor state: s is the history itself.
+    # Full-trace monitor state: the history, with each live descriptor's opener.
     if op is IoOp.READ:
-        return is_opened_by_prog(arg, s)
+        return s.owner.get(arg) is Caller.PROG
     if op is IoOp.WRITE:
-        return is_opened_by_prog(arg[0], s)
+        return s.owner.get(arg[0]) is Caller.PROG
     return False
 
 
 def _fd_open_ck(args, s0, _y, _s1) -> bool:
-    return is_open(args[0], s0)
+    return args[0] in s0.owner
 
 
 def _fd_open_pre(args, h) -> bool:

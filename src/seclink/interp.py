@@ -6,9 +6,9 @@ yields: a state read with the monitor state, an IO call with one
 Alongside the world it maintains ghost state: the events of this run and
 the monitor-state value, updated on every recorded event.  In check mode
 (the default) it advances the abstraction fold beside the state and asserts
-that they agree, at O(|state|) per check: for the seeded history, after
-every event and at every state read.  It also audits the capability
-discipline: every context-tagged IO call must come through the secure library.
+that they agree: for the seeded history, after every event and at every
+state read.  It also audits the capability discipline: every context-tagged
+IO call must come through the secure library.
 """
 
 from __future__ import annotations

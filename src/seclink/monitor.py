@@ -5,7 +5,8 @@ how to maintain it per event (`upd`), and, independently, what a faithful
 summary is: a left fold over the history (`alpha_init`, `alpha_step`) and
 `agree(state, alpha)`; `abstracts(s, h)` is `agree` after folding `h`.
 Two laws make a descriptor usable, checked by the test suite rather than
-proven, and by the interpreter beside `upd` at O(|state|) per event:
+proven, and by the interpreter beside `upd` after every event (O(1) amortised
+for the full trace, O(|state|) for the web-server state):
 
 - `init` agrees with `alpha_init`;
 - `upd` and `alpha_step` applied to the same event preserve `agree`.
@@ -20,7 +21,9 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Any, Callable, Generic, Iterable, TypeVar
 
 from .effects import (
@@ -28,6 +31,7 @@ from .effects import (
     Comp,
     Event,
     IoOp,
+    Ok,
     Ret,
     Trace,
     bind,
@@ -36,6 +40,7 @@ from .effects import (
     get_mstate,
     is_ok,
 )
+from .traces import _ALLOCATORS
 from .worlds import canon_arg
 
 S = TypeVar("S")
@@ -122,6 +127,21 @@ class _Written(frozenset):
     __slots__ = ("listed_by",)
 
 
+# Hoisted: each `IoOp.X` lookup costs ~0.15 µs on Python 3.11.
+_CLOSE = IoOp.CLOSE
+_DECIDERS = (_CLOSE,) + _ALLOCATORS
+
+
+def _opener_step(owner, e: Event):
+    """Live descriptor -> opener, read as `traces._opener` reads a history: a
+    successful close or allocation decides its descriptor (not open / opened
+    by its caller); any other event leaves every descriptor as it was."""
+    if e.op in _DECIDERS and isinstance(e.result, Ok):
+        fd, opener = (e.arg, None) if e.op is _CLOSE else (e.result.value, e.caller)
+        return MappingProxyType({k: c for k, c in {**owner, fd: opener}.items() if c is not None})
+    return owner
+
+
 # Derived from the trace oracles' view (`is_opened_by_ctx`, `wrote_to`,
 # `did_not_respond`), not from `_ws_upd`: live descriptor -> opener, every
 # descriptor written to, and the responded flag.
@@ -130,10 +150,7 @@ _WS_ALPHA_INIT = ({}, _Written(), False)
 
 def _ws_alpha_step(a, e: Event):
     owner, written, responded = a
-    if e.op in (IoOp.OPENFILE, IoOp.SOCKET, IoOp.ACCEPT) and is_ok(e.result):
-        owner = {**owner, e.result.value: e.caller}
-    elif e.op is IoOp.CLOSE and is_ok(e.result) and e.arg in owner:
-        owner = {fd: c for fd, c in owner.items() if fd != e.arg}
+    owner = _opener_step(owner, e)
     if e.op is IoOp.READ and is_ok(e.result):
         responded = False
     elif e.op is IoOp.WRITE:
@@ -158,7 +175,7 @@ def _ws_agree(s: WebServerState, a) -> bool:
 
 
 def _ws_upd(s: WebServerState, e: Event) -> WebServerState:
-    if e.op in (IoOp.OPENFILE, IoOp.SOCKET, IoOp.ACCEPT) and is_ok(e.result):
+    if e.op in _ALLOCATORS and is_ok(e.result):
         fd = e.result.value
         opened = tuple(x for x in s.ctx_opened if x != fd)
         if e.caller is Caller.CTX:
@@ -181,9 +198,69 @@ def webserver_mstate() -> MStateDesc[WebServerState]:
     return MStateDesc("webserver", WebServerState(), _ws_upd, _WS_ALPHA_INIT, _ws_alpha_step, _ws_agree)
 
 
-def full_trace_mstate() -> MStateDesc[tuple[Event, ...]]:
-    """The history itself, most recent first."""
-    return MStateDesc("full-trace", (), lambda s, e: (e,) + s, (), lambda a, e: (e,) + a, operator.eq)
+class History:
+    """A persistent, shared-tail history, most recent event first, that
+    iterates, measures and compares (`==`) as its event sequence.  Each node
+    also maps every live descriptor to its opener (read-only)."""
+
+    __slots__ = ("event", "rest", "length", "owner", "agreed")
+
+    def __init__(self, event=None, rest=None, owner=MappingProxyType({})):
+        self.event, self.rest, self.owner, self.agreed = event, rest, owner, None
+        self.length = 0 if rest is None else rest.length + 1
+
+    def __len__(self):
+        return self.length
+
+    def __iter__(self):
+        node = self
+        while node.length:
+            yield node.event
+            node = node.rest
+
+    def __eq__(self, other):
+        if not isinstance(other, (History, Sequence)):
+            return NotImplemented
+        return len(other) == self.length and all(map(operator.eq, self, other))
+
+    def __repr__(self):
+        return f"History{tuple(self)!r}"
+
+
+def _ft_upd(s: History, e: Event) -> History:
+    owner = s.owner
+    if isinstance(e.result, Ok):
+        if e.op in _ALLOCATORS:
+            owner = MappingProxyType({**owner, e.result.value: e.caller})
+        elif e.op is _CLOSE and e.arg in owner:
+            owner = MappingProxyType({fd: c for fd, c in owner.items() if fd != e.arg})
+    return History(e, s, owner)
+
+
+def _ft_agree(s, a: History) -> bool:
+    """Equal length, event and owner map, node by node, down to the first
+    pair already verified (nodes are immutable: `agreed` remembers it)."""
+    node, alpha = s, a
+    while True:
+        if not isinstance(node, History) or node.length != alpha.length:
+            return False
+        if node.agreed is alpha:
+            break
+        if node.event is not alpha.event and node.event != alpha.event:
+            return False
+        if node.owner != alpha.owner:
+            return False
+        if not node.length:
+            break
+        node, alpha = node.rest, alpha.rest
+    s.agreed = a
+    return True
+
+
+def full_trace_mstate() -> MStateDesc[History]:
+    """The history itself, most recent first, indexed by descriptor owner."""
+    alpha_step = lambda a, e: History(e, a, _opener_step(a.owner, e))  # not `_ft_upd`
+    return MStateDesc("full-trace", History(), _ft_upd, History(), alpha_step, _ft_agree)
 
 
 def last_event_mstate() -> MStateDesc[Event | None]:

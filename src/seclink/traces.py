@@ -89,7 +89,8 @@ def is_opened_by_prog(fd: int, h: Trace) -> bool:
     return _opener(fd, h) is Caller.PROG
 
 
-_ALLOCATORS = frozenset((IoOp.OPENFILE, IoOp.SOCKET, IoOp.ACCEPT))
+# A tuple: `in` tests identity first, where a frozenset calls `Enum.__hash__`.
+_ALLOCATORS = (IoOp.OPENFILE, IoOp.SOCKET, IoOp.ACCEPT)
 
 
 def _opener(fd: int, h: Trace) -> Caller | None:

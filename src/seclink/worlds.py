@@ -7,6 +7,7 @@ a pure function of the starting world:
 - reads return the whole pending buffer (files: cursor to end; sockets:
   the full scripted request);
 - `Select` reports the lowest-numbered ready descriptor;
+- writes extend `bytearray` contents in place; reads return `bytes`;
 - all failures are in-band `Err` results, never exceptions.
 
 Scenario files describe starting worlds as JSON:
@@ -137,6 +138,15 @@ def _alloc(world: World, entry) -> int:
     return fd
 
 
+def _append(table: dict, key, data: bytes) -> bytearray:
+    """Extend `table[key]`, kept as a `bytearray`, in O(len(data))."""
+    buf = table.get(key, b"")
+    if type(buf) is not bytearray:
+        buf = table[key] = bytearray(buf)
+    buf += data
+    return buf
+
+
 def canon_arg(op: IoOp, arg):
     """Normalise an op argument to its canonical hashable form."""
     if op is IoOp.OPENFILE:
@@ -231,7 +241,7 @@ def step(world: World, caller: Caller, op: IoOp, arg) -> Result:
         entry = world.fds.get(fd)
         if isinstance(entry, FileFd):
             content = world.files.get(entry.path, b"")
-            data = content[entry.cursor :]
+            data = bytes(content[entry.cursor :])
             entry.cursor = len(content)
             return Ok(data)
         if isinstance(entry, ClientFd):
@@ -247,9 +257,8 @@ def step(world: World, caller: Caller, op: IoOp, arg) -> Result:
         if entry is None or isinstance(entry, SocketFd):
             return Err(ErrCode.EBADF)
         if isinstance(entry, FileFd):
-            world.files[entry.path] = world.files.get(entry.path, b"") + data
-            entry.cursor = len(world.files[entry.path])
-        world.written[fd] = world.written.get(fd, b"") + data
+            entry.cursor = len(_append(world.files, entry.path, data))
+        _append(world.written, fd, data)
         return Ok(())
 
     if op is IoOp.CLOSE:

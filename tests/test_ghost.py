@@ -9,11 +9,12 @@ from dataclasses import replace
 import pytest
 
 from generators import random_trace
-from seclink.demos import webserver_bundle
+from seclink.demos import webserver_bundle, zip_bundle
 from seclink.demos.harness import link_whole
+from seclink.demos.ziplib import make_zip_prog
 from seclink.effects import Caller, Event, IoOp, Ok, call_io, do, get_mstate, ret
 from seclink.interp import GhostInvariantError, interpret
-from seclink.monitor import MStateDesc, replay, webserver_mstate
+from seclink.monitor import History, MStateDesc, full_trace_mstate, replay, webserver_mstate
 from seclink.worlds import make_world
 
 WS = webserver_mstate()
@@ -111,3 +112,47 @@ def test_check_folds_each_event_once(n):
     folded.clear()
     _server_run(desc, n, seed_history=seed, check=False)
     assert folded == []
+
+
+FT = full_trace_mstate()
+
+
+def _zip_run(desc, n, *, check=True):
+    inputs = tuple(f"/temp/in{i}.txt" for i in range(n))
+    world = make_world(files={p: b"data-%d" % i for i, p in enumerate(inputs)})
+    bundle = zip_bundle()
+    whole = link_whole(bundle, bundle.context("benign"), prog=make_zip_prog(inputs))
+    return interpret(whole, world, desc, check=check)
+
+
+def test_full_trace_owner_map_corruption_raises_at_the_breaking_event():
+    # the events stay right; only the owner map forgets closes
+    def keep_closed_owners(s, e):
+        return History(e, s, s.owner) if e.op is IoOp.CLOSE else FT.upd(s, e)
+
+    desc = replace(FT, upd=keep_closed_owners, abstracts=None)
+    run = _zip_run(desc, 3, check=False)
+    assert run.result == 3 and run.mstate == run.history
+    breaking = next(e for e in run.local if e.op is IoOp.CLOSE)
+    with pytest.raises(GhostInvariantError) as err:
+        _zip_run(desc, 3)
+    assert str(err.value).endswith(f"after {breaking.render()}")
+
+
+@pytest.mark.parametrize("n", [10, 300])
+def test_full_trace_agree_compares_each_event_once(n, monkeypatch):
+    # `agree` stops at the pair it verified last: one event comparison per
+    # recorded event, whatever the history's length, and none at state reads.
+    # The fold keeps equal copies, so no comparison short-cuts on identity.
+    compared = []
+    event_eq = Event.__eq__
+
+    def counting_eq(self, other):
+        compared.append(self)
+        return event_eq(self, other)
+
+    desc = replace(FT, alpha_step=lambda a, e: FT.alpha_step(a, replace(e)), abstracts=None)
+    monkeypatch.setattr(Event, "__eq__", counting_eq)
+    run = _zip_run(desc, n)
+    assert run.result == n and len(run.local) == 4 * n + 3
+    assert len(compared) == len(run.local)

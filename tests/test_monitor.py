@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import replace
 
@@ -9,9 +10,10 @@ import pytest
 
 from generators import random_trace
 from seclink.demos import webserver
-from seclink.effects import Caller, Event, IoOp, Ok, is_contract_failure, is_ok
+from seclink.effects import Caller, Event, IoOp, Ok, call_io, do, is_contract_failure, is_ok
 from seclink.interp import interpret
 from seclink.monitor import (
+    History,
     enforce_policy,
     full_trace_mstate,
     last_event_mstate,
@@ -82,9 +84,16 @@ def _perturbed(name, state, history):
                 out.append(replace(state, **{part: fds[1:]}))
         return out
     if name == "full-trace":
-        return [state[:i] + state[i + 1 :] for i in range(len(state))] + [
-            state[:i] + (_altered(state[i]),) + state[i + 1 :] for i in range(len(state))
+        # carriers of the right type, so only the content can make them fail
+        events = list(reversed(history))
+        desc = full_trace_mstate()
+        dropped = [replay(desc, events[:i] + events[i + 1 :]) for i in range(len(events))]
+        altered = [
+            replay(desc, events[:i] + [_altered(events[i])] + events[i + 1 :])
+            for i in range(len(events))
         ]
+        wrong_owner = History(state.event, state.rest, {**state.owner, 99: Caller.CTX})
+        return dropped + altered + [wrong_owner]
     if name == "last-event":
         return [_altered(history[0]), None] if history else [_altered(FILLER)]
     return [(), 0, FILLER]
@@ -192,3 +201,18 @@ def test_replay_folds_from_init():
     events = random_trace(rng, 8)
     desc = full_trace_mstate()
     assert replay(desc, events) == tuple(reversed(events))
+
+
+def test_full_trace_run_of_1e5_events():
+    # iteration, comparison and deallocation of the carrier use no recursion
+    @do
+    def reads(n):
+        for _ in range(n):
+            yield call_io(Caller.PROG, IoOp.READ, 99)
+        return n
+
+    run = interpret(reads(10**5), make_world(), full_trace_mstate(), check=True)
+    assert len(run.mstate) == len(run.local) == 10**5
+    assert run.mstate == run.history
+    del run
+    gc.collect()

@@ -11,8 +11,9 @@ from generators import random_trace
 from oracles import response_oracle
 from seclink.demos import webserver
 from seclink.effects import Caller, Err, ErrCode, Event, IoOp, Ok, ret
-from seclink.monitor import stateless_mstate
+from seclink.monitor import full_trace_mstate, stateless_mstate
 from seclink.traces import (
+    _opener,
     beh,
     did_not_respond,
     enforced_locally,
@@ -190,6 +191,23 @@ def test_opener_predicates_match_reference_scan(h, fd):
     assert is_open(fd, h) == (owner is not None)
     assert is_opened_by_ctx(fd, h) == (owner is Caller.CTX)
     assert is_opened_by_prog(fd, h) == (owner is Caller.PROG)
+
+
+@given(st.lists(fd_events, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_full_trace_owner_map_matches_opener(events):
+    # both the state (`upd`) and the ghost fold's carrier, on every prefix
+    desc = full_trace_mstate()
+    state, alpha, h = desc.init, desc.alpha_init, ()
+    for e in events:
+        state, alpha, h = desc.upd(state, e), desc.alpha_step(alpha, e), (e,) + h
+        assert state == alpha == h
+        for carrier in (state, alpha):
+            assert dict(carrier.owner) == {fd: _opener(fd, h) for fd in range(5) if is_open(fd, h)}
+            for fd in range(5):
+                assert carrier.owner.get(fd) is _opener(fd, h)
+                assert (fd in carrier.owner) == is_open(fd, h)
+                assert (carrier.owner.get(fd) is Caller.PROG) == is_opened_by_prog(fd, h)
 
 
 def test_did_not_respond_transitions():

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from seclink.effects import Caller, Err, ErrCode, IoOp, Ok
+from seclink.demos import zip_bundle
+from seclink.demos.harness import link_whole
+from seclink.demos.ziplib import ARCHIVE_PATH, make_zip_prog
+from seclink.effects import Caller, Err, ErrCode, IoOp, Ok, call_io, do
+from seclink.interp import interpret
+from seclink.monitor import stateless_mstate
+from seclink.traces import beh
 from seclink.worlds import (
     ScenarioError,
+    World,
     canon_arg,
     dump_scenario,
     load_scenario,
@@ -144,3 +151,70 @@ def test_scenario_round_trip():
 def test_scenario_validation_errors(payload):
     with pytest.raises(ScenarioError):
         load_scenario(payload)
+
+
+# -- writes append in place --------------------------------------------------------
+
+INPUTS = {"/temp/in0.txt": b"zero", "/temp/in1.txt": b"", "/temp/in2.txt": b"\x00two\xff"}
+
+
+def _zip(world: World):
+    bundle = zip_bundle()
+    whole = link_whole(bundle, bundle.context("benign"), prog=make_zip_prog(tuple(INPUTS)))
+    return interpret(whole, world, bundle.interface.mstate)
+
+
+def test_zip_run_archive_and_written_bytes():
+    run = _zip(make_world(files=INPUTS))
+    archive = b"ZIP1\n" + b"".join(b"entry:" + data + b"\n" for data in INPUTS.values())
+    assert run.result == 3
+    assert run.world.files[ARCHIVE_PATH] == archive
+    archive_fd = run.local[0].result.value
+    assert run.world.written == {archive_fd: archive}
+    assert run.world.files == {**INPUTS, ARCHIVE_PATH: archive}
+
+
+def test_runs_on_one_world_share_no_buffer():
+    # the archive exists already: both runs append to their own copy of it
+    world = make_world(files={**INPUTS, ARCHIVE_PATH: b"old\n"})
+    first, second = _zip(world), _zip(world)
+    assert first.world.files[ARCHIVE_PATH] == second.world.files[ARCHIVE_PATH]
+    assert first.world.files[ARCHIVE_PATH].startswith(b"old\nZIP1\n")
+    assert world.files[ARCHIVE_PATH] == b"old\n"
+    # a finished run's world is itself an input that later runs do not touch
+    before = bytes(first.world.files[ARCHIVE_PATH])
+    again = _zip(first.world)
+    assert first.world.files[ARCHIVE_PATH] == before
+    assert again.world.files[ARCHIVE_PATH] == before + before[len(b"old\n") :]
+
+
+@do
+def _write_then_read():
+    fd = yield call_io(PROG, IoOp.OPENFILE, ("/temp/log", ("O_CREAT",), 0o644))
+    yield call_io(PROG, IoOp.WRITE, (fd.value, b"one"))
+    yield call_io(PROG, IoOp.WRITE, (fd.value, b"two"))
+    again = yield call_io(PROG, IoOp.OPENFILE, ("/temp/log", (), 0))
+    data = yield call_io(PROG, IoOp.READ, again.value)
+    return data.value
+
+
+def test_read_after_writes_returns_bytes():
+    run = interpret(_write_then_read(), make_world(), stateless_mstate())
+    assert type(run.result) is bytes and run.result == b"onetwo"
+    assert all(type(e.result.value) is bytes for e in run.local if e.op is IoOp.READ)
+    # behaviours are sets: every event and result must stay hashable
+    assert beh(_write_then_read(), [make_world(), make_world()], stateless_mstate()) == {
+        (run.local, b"onetwo")
+    }
+
+
+def test_dump_scenario_after_writes():
+    w = make_world(files={"/temp/a": b"alpha"}, requests=[(1, b"GET / HTTP/1.1\r\n\r\n")])
+    fd = step(w, PROG, IoOp.OPENFILE, ("/temp/a", (), 0)).value
+    step(w, PROG, IoOp.WRITE, (fd, b"-more"))
+    step(w, PROG, IoOp.OPENFILE, ("/temp/new", ("O_CREAT",), 0o644))
+    expected = make_world(
+        files={"/temp/a": b"alpha-more", "/temp/new": b""},
+        requests=[(1, b"GET / HTTP/1.1\r\n\r\n")],
+    )
+    assert dump_scenario(w) == dump_scenario(expected)

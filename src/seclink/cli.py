@@ -18,6 +18,13 @@ from .worlds import load_scenario, render_trace
 PROPERTIES = ("every_request_gets_a_response", "enforced_locally", "audit", "all")
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="seclink")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -34,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify-bundle", help="run the contract-constraint suite")
     verify.add_argument("--interface", required=True, choices=sorted(BUNDLES))
-    verify.add_argument("--samples", type=int, default=10_000)
+    verify.add_argument("--samples", type=_positive_int, default=10_000)
     verify.add_argument("--seed", type=int, default=20240901)
     return parser
 
@@ -77,7 +84,7 @@ def main(argv=None) -> int:
 
     try:
         report = run_scenario(bundle, args.context, world)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, OSError, ValueError) as exc:
         print(f"context error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,15 @@ closes a subtree with nothing to check.  Whether a node's check guards the
 call (a pre-condition) or judges its outcome (a post-condition) is declared
 by the function type's spec.
 
+How a tree lines up with a type is written once, in `subtrees`: a node's
+left child goes with a pair's first side, a sum's left side, or an arrow's
+arguments, and its right child with the other side or the codomain.  An
+arrow's argument trees nest to the right in `EmptyNode`s, one per argument
+but the last: at `ArrowT((a, b, c), d)` the left child is
+`EmptyNode(ta, EmptyNode(tb, tc))`.  A `Leaf` anywhere, in that spine too,
+closes everything below it.  Every walk over a type and its tree recurses
+over `zip(components(td), subtrees(td, tree))`.
+
 All boundary function types return error-inclusive sums, so a failed check
 is reported in-band as a contract failure and execution can recover.
 """
@@ -187,28 +196,6 @@ class DClosure(DynValue):
 _BASE_SHAPES = {UnitT: DUnit, IntT: DInt, BytesT: DBytes, FdT: DFd, ErrT: DErr}
 
 
-def typechecks(dv: DynValue, td: TypeDesc) -> bool:
-    """Decidable shape check; closures are checked no deeper than arity."""
-    for base, shape in _BASE_SHAPES.items():
-        if isinstance(td, base):
-            return isinstance(dv, shape)
-    if isinstance(td, PairT):
-        return (
-            isinstance(dv, DPair)
-            and typechecks(dv.fst, td.fst)
-            and typechecks(dv.snd, td.snd)
-        )
-    if isinstance(td, EitherT):
-        if isinstance(dv, DLeft):
-            return typechecks(dv.value, td.left)
-        if isinstance(dv, DRight):
-            return typechecks(dv.value, td.right)
-        return False
-    if isinstance(td, ArrowT):
-        return isinstance(dv, DClosure)
-    raise TypeError(f"unknown type descriptor {td!r}")
-
-
 # ---------------------------------------------------------------------------
 # Check trees and effectful checks
 # ---------------------------------------------------------------------------
@@ -275,58 +262,52 @@ def make_checks_eff(tree: CheckTree) -> CheckTree:
     raise TypeError(f"not a check tree: {tree!r}")
 
 
+def components(td: TypeDesc) -> tuple[TypeDesc, ...]:
+    """An arrow's domains then its codomain, a pair's or sum's two sides."""
+    if isinstance(td, ArrowT):
+        return (*td.doms, td.cod)
+    if isinstance(td, PairT):
+        return (td.fst, td.snd)
+    if isinstance(td, EitherT):
+        return (td.left, td.right)
+    return ()
+
+
+def subtrees(td: TypeDesc, tree: CheckTree) -> tuple[CheckTree, ...] | None:
+    """The subtree for each of `components(td)` by the rule in the module
+    docstring, or None if the tree does not line up with the type."""
+    if isinstance(tree, Leaf):
+        return (tree,) * len(components(td))
+    if not isinstance(tree, (Node, EmptyNode)):
+        raise TypeError(f"not a check tree: {tree!r}")
+    if isinstance(td, ArrowT):
+        spine, args = tree.left, []
+        for _ in td.doms[1:]:
+            if isinstance(spine, Leaf):
+                break
+            if not isinstance(spine, EmptyNode):
+                return None
+            args.append(spine.left)
+            spine = spine.right
+        args += [spine] * (len(td.doms) - len(args))
+        return (*args, tree.right)
+    if isinstance(td, (PairT, EitherT)):
+        return (tree.left, tree.right)
+    return None
+
+
 def shape_matches(td: TypeDesc, tree: CheckTree) -> bool:
-    """A tree instruments a type when nodes only sit at specced arrows and
-    structure lines up; a Leaf may close any subtree."""
+    """A tree instruments a type when it lines up with it and, short of a
+    `Leaf`, holds a `Node` exactly where the type is an arrow with a spec."""
     if isinstance(tree, Leaf):
         return True
-    if isinstance(tree, Node):
-        return (
-            isinstance(td, ArrowT)
-            and td.spec is not None
-            and _args_shape_matches(td.doms, tree.left)
-            and shape_matches(td.cod, tree.right)
-        )
-    if isinstance(tree, EmptyNode):
-        if isinstance(td, ArrowT):
-            return (
-                td.spec is None
-                and _args_shape_matches(td.doms, tree.left)
-                and shape_matches(td.cod, tree.right)
-            )
-        if isinstance(td, PairT):
-            return shape_matches(td.fst, tree.left) and shape_matches(td.snd, tree.right)
-        if isinstance(td, EitherT):
-            return shape_matches(td.left, tree.left) and shape_matches(td.right, tree.right)
-        return False
-    raise TypeError(f"not a check tree: {tree!r}")
-
-
-def _args_shape_matches(doms: tuple[TypeDesc, ...], tree: CheckTree) -> bool:
-    if len(doms) == 1:
-        return shape_matches(doms[0], tree)
-    if isinstance(tree, Leaf):
-        return True
+    subs = subtrees(td, tree)
+    specced = isinstance(td, ArrowT) and td.spec is not None
     return (
-        isinstance(tree, EmptyNode)
-        and shape_matches(doms[0], tree.left)
-        and _args_shape_matches(doms[1:], tree.right)
+        subs is not None
+        and isinstance(tree, Node) == specced
+        and all(shape_matches(c, t) for c, t in zip(components(td), subs))
     )
-
-
-def _arg_trees(doms: tuple[TypeDesc, ...], tree: CheckTree) -> list[CheckTree]:
-    """Split the argument-side tree into one subtree per domain."""
-    if len(doms) == 1:
-        return [tree]
-    if isinstance(tree, Leaf):
-        return [Leaf()] * len(doms)
-    return [tree.left] + _arg_trees(doms[1:], tree.right)
-
-
-def _child(tree: CheckTree, side: str) -> CheckTree:
-    if isinstance(tree, Leaf):
-        return Leaf()
-    return getattr(tree, side)
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +365,17 @@ def export_value(td: TypeDesc, cks: CheckTree, value) -> DynValue:
     if isinstance(td, ErrT):
         return DErr(value.code, value.why)
     if isinstance(td, PairT):
+        fst_tree, snd_tree = subtrees(td, cks)
         return DPair(
-            export_value(td.fst, _child(cks, "left"), value[0]),
-            export_value(td.snd, _child(cks, "right"), value[1]),
+            export_value(td.fst, fst_tree, value[0]),
+            export_value(td.snd, snd_tree, value[1]),
         )
     if isinstance(td, EitherT):
+        left_tree, right_tree = subtrees(td, cks)
         if isinstance(value, Ok):
-            return DLeft(export_value(td.left, _child(cks, "left"), value.value))
+            return DLeft(export_value(td.left, left_tree, value.value))
         payload = value if isinstance(td.right, ErrT) else value.code
-        return DRight(export_value(td.right, _child(cks, "right"), payload))
+        return DRight(export_value(td.right, right_tree, payload))
     if isinstance(td, ArrowT):
         return _export_arrow(td, cks, value)
     raise TypeError(f"unknown type descriptor {td!r}")
@@ -414,19 +397,23 @@ def import_value(td: TypeDesc, cks: CheckTree, dv: DynValue):
                 return Ok(dv.data)
             return Ok(dv.fd)
     if isinstance(td, PairT):
-        fst = import_value(td.fst, _child(cks, "left"), dv.fst) if isinstance(dv, DPair) else contract_failure("import:PairT")
+        if not isinstance(dv, DPair):
+            return contract_failure("import:PairT")
+        fst_tree, snd_tree = subtrees(td, cks)
+        fst = import_value(td.fst, fst_tree, dv.fst)
         if is_err(fst):
             return fst
-        snd = import_value(td.snd, _child(cks, "right"), dv.snd)
+        snd = import_value(td.snd, snd_tree, dv.snd)
         if is_err(snd):
             return snd
         return Ok((fst.value, snd.value))
     if isinstance(td, EitherT):
+        left_tree, right_tree = subtrees(td, cks)
         if isinstance(dv, DLeft):
-            inner = import_value(td.left, _child(cks, "left"), dv.value)
+            inner = import_value(td.left, left_tree, dv.value)
             return Ok(Ok(inner.value)) if not is_err(inner) else inner
         if isinstance(dv, DRight):
-            inner = import_value(td.right, _child(cks, "right"), dv.value)
+            inner = import_value(td.right, right_tree, dv.value)
             if is_err(inner):
                 return inner
             payload = inner.value
@@ -448,8 +435,7 @@ def _dyn_failure(e: Err) -> DynValue:
 
 
 def _export_arrow(td: ArrowT, cks: CheckTree, f: Callable[..., Comp]) -> DClosure:
-    arg_trees = _arg_trees(td.doms, _child(cks, "left"))
-    cod_tree = _child(cks, "right")
+    *arg_trees, cod_tree = subtrees(td, cks)
     guarded = _apply_node(td, cks, f)
 
     @do
@@ -469,8 +455,7 @@ def _export_arrow(td: ArrowT, cks: CheckTree, f: Callable[..., Comp]) -> DClosur
 
 
 def _import_arrow(td: ArrowT, cks: CheckTree, dclo: DClosure) -> Callable[..., Comp]:
-    arg_trees = _arg_trees(td.doms, _child(cks, "left"))
-    cod_tree = _child(cks, "right")
+    *arg_trees, cod_tree = subtrees(td, cks)
 
     @do
     def adapter(*natives):

@@ -269,11 +269,3 @@ def last_event_mstate() -> MStateDesc[Event | None]:
 
 def stateless_mstate() -> MStateDesc[None]:
     return MStateDesc("stateless", None, lambda s, e: None, None, lambda a, e: None, operator.is_)
-
-
-SHIPPED_MSTATES = {
-    "webserver": webserver_mstate,
-    "full-trace": full_trace_mstate,
-    "last-event": last_event_mstate,
-    "stateless": stateless_mstate,
-}

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 
 from .contracts import ArrowSpec, ArrowT, CheckKind, CheckTree, EitherT, Node, PairT, TypeDesc
-from .contracts import BytesT, FdT, IntT, UnitT
+from .contracts import BytesT, FdT, IntT, UnitT, components, subtrees
 from .effects import Caller, Err, ErrCode, Event, IoOp, Ok, contract_failure, ret
 from .httputil import http_ok
 from .monitor import MStateDesc, replay
@@ -62,40 +62,12 @@ class ValidationReport:
 
 
 def collect_specced_arrows(td: TypeDesc, cks: CheckTree) -> list[tuple[ArrowT, Node]]:
-    """All (arrow, check node) pairs reachable in the type."""
-    out = []
-    if isinstance(td, ArrowT):
-        if isinstance(cks, Node) and td.spec is not None:
-            out.append((td, cks))
-        arg_tree = getattr(cks, "left", None)
-        cod_tree = getattr(cks, "right", None)
-        doms = td.doms
-        if len(doms) == 1:
-            if arg_tree is not None:
-                out += collect_specced_arrows(doms[0], arg_tree)
-        else:
-            cursor = arg_tree
-            for dom in doms[:-1]:
-                if cursor is None or not hasattr(cursor, "left"):
-                    break
-                out += collect_specced_arrows(dom, cursor.left)
-                cursor = cursor.right
-            if cursor is not None:
-                out += collect_specced_arrows(doms[-1], cursor)
-        if cod_tree is not None:
-            out += collect_specced_arrows(td.cod, cod_tree)
-    elif isinstance(td, (PairT, EitherT)):
-        left = td.fst if isinstance(td, PairT) else td.left
-        right = td.snd if isinstance(td, PairT) else td.right
-        out += collect_specced_arrows(left, getattr(cks, "left", None) or _leaf())
-        out += collect_specced_arrows(right, getattr(cks, "right", None) or _leaf())
+    """All (arrow, check node) pairs in a tree that lines up with the type:
+    the outermost first, then each component's, left to right."""
+    out = [(td, cks)] if isinstance(cks, Node) else []
+    for comp, tree in zip(components(td), subtrees(td, cks)):
+        out += collect_specced_arrows(comp, tree)
     return out
-
-
-def _leaf():
-    from .contracts import Leaf
-
-    return Leaf()
 
 
 # ---------------------------------------------------------------------------

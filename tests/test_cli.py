@@ -130,6 +130,23 @@ def test_context_source_file_ill_typed(scenario, tmp_path, capsys):
     assert "context error" in capsys.readouterr().err
 
 
+def test_context_source_file_missing(scenario, tmp_path, capsys):
+    missing = tmp_path / "no-such.ctx"
+    code = main(
+        ["run", "--scenario", scenario, "--program", "webserver", "--context", f"file:{missing}"]
+    )
+    assert code == 2
+    assert "context error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_bundle_rejects_samples_below_one(samples, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-bundle", "--interface", "zip", "--samples", samples])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_verify_bundle(capsys):
     code = main(["verify-bundle", "--interface", "logging", "--samples", "400"])
     assert code == 0

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seclink.contracts import (
     ArrowSpec,
@@ -36,12 +38,12 @@ from seclink.contracts import (
     option_t,
     shape_matches,
     strip_specs,
-    typechecks,
 )
 from seclink.demos import webserver
 from seclink.effects import Caller, Err, ErrCode, IoOp, Ok, call_io, contract_failure, do, is_err, ret
 from seclink.interp import interpret
 from seclink.monitor import webserver_mstate
+from seclink.validate import collect_specced_arrows
 from seclink.worlds import make_world
 
 
@@ -82,10 +84,10 @@ def test_import_rejects_non_closure_at_arrow():
 
 
 def test_typechecks_shapes():
-    assert typechecks(DInt(1), IntT())
-    assert not typechecks(DInt(1), BytesT())
-    assert typechecks(DPair(DInt(1), DLeft(DUnit())), PairT(IntT(), EitherT(UnitT(), ErrT())))
-    assert typechecks(DClosure(lambda x: ret(x)), ArrowT((IntT(),), EitherT(IntT(), ErrT())))
+    assert not is_err(import_value(IntT(), Leaf(), DInt(1)))
+    assert is_err(import_value(BytesT(), Leaf(), DInt(1)))
+    assert not is_err(import_value(PairT(IntT(), EitherT(UnitT(), ErrT())), Leaf(), DPair(DInt(1), DLeft(DUnit()))))
+    assert not is_err(import_value(ArrowT((IntT(),), EitherT(IntT(), ErrT())), Leaf(), DClosure(lambda x: ret(x))))
 
 
 def test_strip_specs_removes_all():
@@ -101,6 +103,92 @@ def test_shape_rules():
     bare = ArrowT((IntT(),), EitherT(IntT(), ErrT()))
     assert not shape_matches(bare, Node(lambda *a: True, Leaf(), Leaf()))
     assert not shape_matches(IntT(), EmptyNode(Leaf(), Leaf()))
+
+
+# -- alignment of check trees with types ---------------------------------------
+#
+# A case is (type, tree, placed, mutants): a tree that lines up with the type
+# by construction, the (arrow, node) pairs placed in it in the order
+# `collect_specced_arrows` reports them, and every variant of the tree with
+# exactly one misplaced node.
+
+
+def _ck(*_args):
+    return True
+
+
+def _node(left, right):
+    return Node(_ck, left, right)
+
+
+def _base_case():
+    return IntT(), Leaf(), [], [EmptyNode(Leaf(), Leaf())]
+
+
+def _pair_case(kind, a, b):
+    mutants = [EmptyNode(m, b[1]) for m in a[3]] + [EmptyNode(a[1], m) for m in b[3]]
+    return kind(a[0], b[0]), EmptyNode(a[1], b[1]), a[2] + b[2], mutants
+
+
+def _spine(trees, n, noded=None):
+    """Argument trees nested to the right; with fewer than `n` trees the
+    spine ends in a Leaf.  A Node replaces the spine's `noded`-th link."""
+    spine = trees[-1] if len(trees) == n else Leaf()
+    for i in reversed(range(min(len(trees), n - 1))):
+        spine = (_node if i == noded else EmptyNode)(trees[i], spine)
+    return spine
+
+
+def _arrow_case(specced, args, cod, keep):
+    """An arrow over `args`, its spine cut by a Leaf after `keep` of them."""
+    n = len(args)
+    td = ArrowT(tuple(a[0] for a in args), cod[0], ArrowSpec("f", CheckKind.PRE) if specced else None)
+    wrap, swapped = (_node, EmptyNode) if specced else (EmptyNode, _node)
+    kept = [a[1] for a in args[:keep]]
+    tree = wrap(_spine(kept, n), cod[1])
+    placed = [(td, tree)] if specced else []
+    placed += [p for a in args[:keep] for p in a[2]] + cod[2]
+    mutants = [swapped(tree.left, tree.right)]
+    mutants += [wrap(_spine(kept, n, i), cod[1]) for i in range(min(keep, n - 1))]
+    for i, a in enumerate(args[:keep]):
+        mutants += [wrap(_spine(kept[:i] + [m] + kept[i + 1 :], n), cod[1]) for m in a[3]]
+    mutants += [wrap(tree.left, m) for m in cod[3]]
+    return td, tree, placed, mutants
+
+
+@st.composite
+def aligned_cases(draw, depth=0):
+    kind = draw(st.sampled_from(("base", "pair", "either", "arrow") if depth < 3 else ("base",)))
+    if kind == "base":
+        case = _base_case()
+    elif kind == "arrow":
+        n = draw(st.integers(1, 3))
+        args = [draw(aligned_cases(depth + 1)) for _ in range(n)]
+        cod = draw(aligned_cases(depth + 1))
+        keep = min(draw(st.integers(0, n + 2)), n)
+        case = _arrow_case(draw(st.booleans()), args, cod, keep)
+    else:
+        sides = (draw(aligned_cases(depth + 1)), draw(aligned_cases(depth + 1)))
+        case = _pair_case(PairT if kind == "pair" else EitherT, *sides)
+    if draw(st.integers(0, 5)) == 0:
+        return case[0], Leaf(), [], []
+    return case
+
+
+# a checked arrow in the middle argument of an unchecked three-argument arrow
+_CHECKED = _arrow_case(True, [_base_case()], _base_case(), 1)
+_MIDDLE = _arrow_case(False, [_base_case(), _CHECKED, _base_case()], _base_case(), 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(aligned_cases())
+@example(_MIDDLE)
+def test_aligned_trees_match_and_collect_in_order(case):
+    td, tree, placed, mutants = case
+    assert shape_matches(td, tree)
+    assert collect_specced_arrows(td, tree) == placed
+    for mutant in mutants:
+        assert not shape_matches(td, mutant)
 
 
 # -- effectful checks ----------------------------------------------------------
@@ -277,6 +365,52 @@ def test_imported_handler_passes_own_errors_through():
         world_with_client(),
     )
     assert result.result == Err(ErrCode.ENOENT)
+
+
+# -- crossings at a multi-argument arrow ----------------------------------------
+
+
+def _sender(label):
+    return ArrowT((BytesT(),), EitherT(UnitT(), ErrT()), ArrowSpec(label, CheckKind.PRE))
+
+
+THREE_SENDERS = ArrowT(
+    (_sender("first"), _sender("second"), _sender("third")), EitherT(UnitT(), ErrT())
+)
+
+
+@do
+def call_each(*senders):
+    for i, send in enumerate(senders):
+        outcome = yield send.fn(DBytes(b"%d" % i))
+        if isinstance(outcome, DRight):
+            return outcome
+    return outcome
+
+
+def run_three_senders(cks):
+    calls = []
+
+    def native(data):
+        calls.append(data)
+        return ret(Ok(()))
+
+    strong = import_value(THREE_SENDERS, cks, DClosure(call_each)).value
+    return run(strong(native, native, native)), calls
+
+
+def test_check_on_middle_argument_fires_when_called():
+    deny = Node(lambda *a: False, Leaf(), Leaf())
+    result, calls = run_three_senders(EmptyNode(EmptyNode(Leaf(), EmptyNode(deny, Leaf())), Leaf()))
+    assert result.result == contract_failure("pre:second")
+    assert result.local == ()
+    assert calls == [b"0"]
+
+
+def test_leaf_argument_spine_leaves_every_argument_unchecked():
+    result, calls = run_three_senders(EmptyNode(Leaf(), Leaf()))
+    assert result.result == Ok(())
+    assert calls == [b"0", b"1", b"2"]
 
 
 def test_exported_closure_rejects_ill_typed_argument():

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .demos import BUNDLES, run_scenario, webserver_bundle
+from .demos import BUNDLES, WEBSERVER_POLICIES, run_scenario, webserver_bundle
 from .traces import enforced_locally, every_request_gets_a_response
 from .validate import validate_interface
 from .worlds import load_scenario, render_trace
@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--program", required=True, choices=sorted(BUNDLES))
     run.add_argument("--context", required=True, help="context name, or file:PATH for source text")
     run.add_argument("--mode", choices=("prog-first", "ctx-first"), default=None)
-    run.add_argument("--policy", default=None, help="alternative policy name (webserver only)")
+    run.add_argument("--policy", choices=WEBSERVER_POLICIES, default=None, help="webserver only")
     run.add_argument("--check", choices=PROPERTIES, default=None)
     run.add_argument("--dump-trace", default=None, metavar="PATH")
     run.add_argument("--json", action="store_true", help="emit the report as JSON")
@@ -90,8 +90,12 @@ def main(argv=None) -> int:
 
     print(report.to_json() if args.json else report.render_text())
     if args.dump_trace:
-        with open(args.dump_trace, "w", encoding="utf-8") as handle:
-            handle.write(render_trace(report.run.local) + "\n")
+        try:
+            with open(args.dump_trace, "w", encoding="utf-8") as handle:
+                handle.write(render_trace(report.run.local) + "\n")
+        except OSError as exc:
+            print(f"dump error: {exc}", file=sys.stderr)
+            return 2
 
     if args.check:
         holds, label = _check_property(args.check, report)

@@ -8,8 +8,9 @@ library supplied at link time.  There is no recursion, so every typed term
 terminates.
 
 `parse` builds the AST, `typecheck` verifies it against the boundary type
-it must inhabit, and `translate` produces a target context whose runtime
-behaviour matches a hand-written one event for event.
+it must inhabit, and `translate` stages the term once, compiling it to
+closures, and produces a target context whose runtime behaviour matches a
+hand-written one event for event.
 
 Concrete syntax::
 
@@ -51,7 +52,7 @@ from .contracts import (
     TypeDesc,
     UnitT,
 )
-from .effects import Comp, IoOp, bind, do, evaluate, is_err, ret
+from .effects import Bind, IoOp, Ret, bind, do, evaluate, is_err, ret
 from .monitor import SecureIoLib
 
 # ---------------------------------------------------------------------------
@@ -603,74 +604,93 @@ def _prim_closures() -> dict[str, DynValue]:
     }
 
 
-def _io_arg(op: IoOp, dv: DynValue):
-    if op is IoOp.OPENFILE:
-        return (dv.data.decode("latin-1"), (), 0)
-    if op is IoOp.WRITE:
-        return (dv.fst.fd, dv.snd.data)
-    if op in (IoOp.READ, IoOp.CLOSE):
-        return dv.fd
-    if op is IoOp.SOCKET:
-        return ()
-    raise TranslateError(f"operation {op.value} not callable from contexts")
+# Per op: the library argument of a language value, and the language value
+# of a successful result (errors become `inr`).
+_IO_CONV = {
+    IoOp.OPENFILE: (lambda dv: (dv.data.decode("latin-1"), (), 0), DFd),
+    IoOp.READ: (lambda dv: dv.fd, DBytes),
+    IoOp.WRITE: (lambda dv: (dv.fst.fd, dv.snd.data), lambda _: DUnit()),
+    IoOp.CLOSE: (lambda dv: dv.fd, lambda _: DUnit()),
+    IoOp.SOCKET: (lambda dv: (), DFd),
+}
 
 
-def _io_result(op: IoOp, result) -> DynValue:
-    if is_err(result):
-        return DRight(DErr(result.code, result.why))
-    if op in (IoOp.OPENFILE, IoOp.SOCKET):
-        return DLeft(DFd(result.value))
-    if op is IoOp.READ:
-        return DLeft(DBytes(result.value))
-    return DLeft(DUnit())
+def _then(staged, k, k_pure: bool):
+    """Stage "evaluate `staged`, then `k(value, env, lib)`", where `k` gives a
+    value if `k_pure` and a computation otherwise."""
+    pure, code = staged
+    if pure:
+        return k_pure, lambda env, lib: k(code(env, lib), env, lib)
+    if k_pure:
+        return False, lambda env, lib: Bind(code(env, lib), lambda v: Ret(k(v, env, lib)))
+    return False, lambda env, lib: Bind(code(env, lib), lambda v: k(v, env, lib))
 
 
-def _eval(expr: CtxExpr, env: dict, lib: SecureIoLib) -> Comp:
+def _comp(staged):
+    """The code of a staged term as code that builds a computation."""
+    pure, code = staged
+    return (lambda env, lib: Ret(code(env, lib))) if pure else code
+
+
+def _stage(expr: CtxExpr):
+    """Compile a term once to `(pure, code)`.  A pure term (no `io`, no
+    application) has `code(env, lib)` return its value; any other returns
+    its computation, with its effects in source order."""
     if isinstance(expr, Var):
-        return ret(env[expr.name])
-    if isinstance(expr, IntLit):
-        return ret(DInt(expr.value))
-    if isinstance(expr, BytesLit):
-        return ret(DBytes(expr.value))
-    if isinstance(expr, UnitLit):
-        return ret(DUnit())
+        name = expr.name
+        return True, lambda env, lib: env[name]
+    if isinstance(expr, (IntLit, BytesLit, UnitLit)):
+        kind = {IntLit: DInt, BytesLit: DBytes}.get(type(expr))
+        value = kind(expr.value) if kind else DUnit()
+        return True, lambda env, lib: value
     if isinstance(expr, Lam):
-        return ret(DClosure(lambda dv: _eval(expr.body, {**env, expr.var: dv}, lib)))
+        var, body = expr.var, _comp(_stage(expr.body))
+        return True, lambda env, lib: DClosure(lambda dv: body({**env, var: dv}, lib))
     if isinstance(expr, App):
-        return bind(
-            _eval(expr.fn, env, lib),
-            lambda fn: bind(_eval(expr.arg, env, lib), lambda arg: fn.fn(arg)),
-        )
+        fn, arg = _stage(expr.fn), _stage(expr.arg)
+        if fn[0]:  # a pure function position reads the same after the argument's effects
+            return _then(arg, lambda a, env, lib: fn[1](env, lib).fn(a), False)
+        if arg[0]:
+            return _then(fn, lambda f, env, lib: f.fn(arg[1](env, lib)), False)
+        return _then(fn, lambda f, env, lib: Bind(arg[1](env, lib), f.fn), False)
     if isinstance(expr, PairE):
-        return bind(
-            _eval(expr.fst, env, lib),
-            lambda a: bind(_eval(expr.snd, env, lib), lambda b: ret(DPair(a, b))),
-        )
+        fst, snd = _stage(expr.fst), _stage(expr.snd)
+        if snd[0]:
+            return _then(fst, lambda a, env, lib: DPair(a, snd[1](env, lib)), True)
+        if fst[0]:
+            return _then(snd, lambda b, env, lib: DPair(fst[1](env, lib), b), True)
+        pair_with = lambda a, env, lib: Bind(snd[1](env, lib), lambda b: Ret(DPair(a, b)))
+        return _then(fst, pair_with, False)
     if isinstance(expr, Proj):
-        return bind(
-            _eval(expr.expr, env, lib),
-            lambda p: ret(p.fst if expr.side == "fst" else p.snd),
-        )
+        first = expr.side == "fst"
+        return _then(_stage(expr.expr), lambda p, env, lib: p.fst if first else p.snd, True)
     if isinstance(expr, Inject):
         wrap = DLeft if expr.side == "inl" else DRight
-        return bind(_eval(expr.expr, env, lib), lambda v: ret(wrap(v)))
+        return _then(_stage(expr.expr), lambda v, env, lib: wrap(v), True)
     if isinstance(expr, Case):
-        def branch(v):
-            if isinstance(v, DLeft):
-                return _eval(expr.left_body, {**env, expr.left_var: v.value}, lib)
-            return _eval(expr.right_body, {**env, expr.right_var: v.value}, lib)
+        (lp, lc), (rp, rc) = _stage(expr.left_body), _stage(expr.right_body)
+        if lp != rp:
+            lp, lc, rc = False, _comp((lp, lc)), _comp((rp, rc))
+        lv, rv, (sp, sc) = expr.left_var, expr.right_var, _stage(expr.scrutinee)
 
-        return bind(_eval(expr.scrutinee, env, lib), branch)
+        def case(env, lib, v=None):  # reads a pure scrutinee itself: one frame per nested case
+            if sp:
+                v = sc(env, lib)
+            if isinstance(v, DLeft):
+                return lc({**env, lv: v.value}, lib)
+            return rc({**env, rv: v.value}, lib)
+
+        return (lp, case) if sp else _then((sp, sc), lambda v, env, lib: case(env, lib, v), lp)
     if isinstance(expr, Let):
-        return bind(
-            _eval(expr.bound, env, lib),
-            lambda v: _eval(expr.body, {**env, expr.var: v}, lib),
-        )
+        var, (bp, bc), (body_pure, body) = expr.var, _stage(expr.bound), _stage(expr.body)
+        if bp:  # one frame per nested binding, no deeper than the parser goes
+            return body_pure, lambda env, lib: body({**env, var: bc(env, lib)}, lib)
+        return _then((bp, bc), lambda v, env, lib: body({**env, var: v}, lib), body_pure)
     if isinstance(expr, IoCall):
-        return bind(
-            _eval(expr.arg, env, lib),
-            lambda dv: bind(lib.call(expr.op, _io_arg(expr.op, dv)), lambda r: ret(_io_result(expr.op, r))),
-        )
+        op, (to_arg, of_ok) = expr.op, _IO_CONV[expr.op]
+        done = lambda r: Ret(DRight(DErr(r.code, r.why)) if is_err(r) else DLeft(of_ok(r.value)))
+        call = lambda dv, env, lib: Bind(lib.call(op, to_arg(dv)), done)
+        return _then(_stage(expr.arg), call, False)
     raise TypeError(f"unknown expression {expr!r}")
 
 
@@ -718,13 +738,15 @@ def _adapt_in(v: DynValue, td: TypeDesc) -> DynValue:
 
 
 def translate(expr: CtxExpr, ctype: TypeDesc):
-    """Typed source text to target context.  Total on typed terms."""
+    """Typed source text to target context.  Total on typed terms.  The term
+    is staged once, here; each link only runs the staged code."""
     typecheck(expr, curried_view(ctype))
+    code = _comp(_stage(expr))
 
     def target_ctx(lib: SecureIoLib) -> DynValue:
         # A context is a value: it may not reach an operation call.
         try:
-            next(evaluate(_eval(expr, _prim_closures(), lib)))
+            next(evaluate(code(_prim_closures(), lib)))
         except StopIteration as done:
             return _adapt_out(done.value, ctype)
         raise TranslateError("a context must be a value; effects belong inside its functions")

@@ -2,6 +2,7 @@
 
 from .harness import (
     BUNDLES,
+    WEBSERVER_POLICIES,
     Bundle,
     Report,
     attribute_mechanism,
@@ -16,6 +17,7 @@ from .harness import (
 
 __all__ = [
     "BUNDLES",
+    "WEBSERVER_POLICIES",
     "Bundle",
     "Report",
     "attribute_mechanism",

@@ -187,6 +187,9 @@ def allow_all_in_tmp_policy(s, op: IoOp, arg) -> bool:
     return False
 
 
+WEBSERVER_POLICIES = ("webserver", "allow_all_in_tmp")
+
+
 def webserver_interface(policy: str = "webserver") -> SourceInterface:
     iface = webserver.interface()
     if policy == "webserver":

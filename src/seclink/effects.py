@@ -123,12 +123,13 @@ class Comp:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+# Built once per step: plain slotted classes cost half a frozen dataclass.
+@dataclass(slots=True)
 class Ret(Comp):
     value: Any
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Call(Comp):
     caller: Caller
     op: Any  # IoOp or GET_MSTATE
@@ -136,7 +137,7 @@ class Call(Comp):
     via_monitor: bool = field(default=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Bind(Comp):
     m: Comp
     f: Callable[[Any], Comp]

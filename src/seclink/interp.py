@@ -77,6 +77,7 @@ def interpret(
 
     core = evaluate(comp)
     value = None
+    ctx, step, upd = Caller.CTX, worlds.step, desc.upd  # hoisted out of the per-event path
     while True:
         try:
             cur = core.send(value)
@@ -99,7 +100,7 @@ def interpret(
 
         if not isinstance(cur.op, IoOp):
             raise TypeError(f"unknown operation {cur.op!r}")
-        if cur.caller is Caller.CTX:
+        if cur.caller is ctx:
             if check and not cur.via_monitor:
                 raise CapabilityError(
                     f"unmediated context call: {cur.op.value} {cur.arg!r}"
@@ -109,10 +110,10 @@ def interpret(
             monitored_calls += 1
 
         arg = worlds.canon_arg(cur.op, cur.arg)
-        value = worlds.step(w, cur.caller, cur.op, arg)
+        value = step(w, cur.caller, cur.op, arg)
         event = Event(cur.caller, cur.op, arg, value)
         local.append(event)
-        state = desc.upd(state, event)
+        state = upd(state, event)
         if check:
             alpha = desc.alpha_step(alpha, event)
             if not desc.agree(state, alpha):

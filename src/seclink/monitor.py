@@ -6,7 +6,7 @@ summary is: a left fold over the history (`alpha_init`, `alpha_step`) and
 `agree(state, alpha)`; `abstracts(s, h)` is `agree` after folding `h`.
 Two laws make a descriptor usable, checked by the test suite rather than
 proven, and by the interpreter beside `upd` after every event (O(1) amortised
-for the full trace, O(|state|) for the web-server state):
+for the full trace and for the web-server state):
 
 - `init` agrees with `alpha_init`;
 - `upd` and `alpha_step` applied to the same event preserve `agree`.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Generic, Iterable, TypeVar
 
@@ -110,6 +110,50 @@ def enforce_policy(policy: Policy, desc: MStateDesc) -> SecureIoLib:
 # ---------------------------------------------------------------------------
 
 
+class Written:
+    """A persistent set of descriptors.  A chain of versions shares one dict
+    from member to the size at which it was added, and a version holds the
+    entries up to its own size: O(1) membership in every version, O(1) `add`
+    to the newest one, and a copy of the entries when an older one forks."""
+
+    __slots__ = ("fd", "rest", "length", "index", "agreed")
+
+    def __init__(self, fd=None, rest=None, index=None):
+        self.fd, self.rest, self.index, self.agreed = fd, rest, index or {}, None
+        self.length = 0 if rest is None else rest.length + 1
+
+    def __contains__(self, fd):
+        return self.index.get(fd, self.length + 1) <= self.length
+
+    def __iter__(self):
+        node = self
+        while node.length:
+            yield node.fd
+            node = node.rest
+
+    def __eq__(self, other):
+        """Same members: equal sizes, and each member added since the pair
+        verified last (`agreed`, as in `History`) is in `other`."""
+        if not isinstance(other, Written) or self.length != other.length:
+            return False
+        node, alpha = self, other
+        while node.length and node.agreed is not alpha:
+            if node.fd not in other:
+                return False
+            node, alpha = node.rest, alpha.rest
+        self.agreed = other
+        return True
+
+    def add(self, fd) -> "Written":
+        if fd in self:
+            return self
+        index = self.index
+        if not self.length or len(index) != self.length:  # the root or a fork
+            index = {k: n for k, n in index.items() if n <= self.length}
+        index[fd] = self.length + 1
+        return Written(fd, self, index)
+
+
 @dataclass(frozen=True)
 class WebServerState:
     """Summary for the web-server policy: context-opened descriptors, the
@@ -117,18 +161,11 @@ class WebServerState:
 
     ctx_opened: tuple[int, ...] = ()
     responded: bool = False
-    written: tuple[int, ...] = ()
-
-
-class _Written(frozenset):
-    """Descriptors written to; `listed_by` caches the last (immutable) state
-    tuple found to list exactly these members."""
-
-    __slots__ = ("listed_by",)
+    written: Written = field(default_factory=Written)
 
 
 # Hoisted: each `IoOp.X` lookup costs ~0.15 µs on Python 3.11.
-_CLOSE = IoOp.CLOSE
+_CLOSE, _READ, _WRITE, _PROG, _CTX = IoOp.CLOSE, IoOp.READ, IoOp.WRITE, Caller.PROG, Caller.CTX
 _DECIDERS = (_CLOSE,) + _ALLOCATORS
 
 
@@ -145,53 +182,44 @@ def _opener_step(owner, e: Event):
 # Derived from the trace oracles' view (`is_opened_by_ctx`, `wrote_to`,
 # `did_not_respond`), not from `_ws_upd`: live descriptor -> opener, every
 # descriptor written to, and the responded flag.
-_WS_ALPHA_INIT = ({}, _Written(), False)
+_WS_ALPHA_INIT = ({}, Written(), False)
 
 
 def _ws_alpha_step(a, e: Event):
     owner, written, responded = a
     owner = _opener_step(owner, e)
-    if e.op is IoOp.READ and is_ok(e.result):
+    if e.op is _READ and is_ok(e.result):
         responded = False
-    elif e.op is IoOp.WRITE:
-        if e.arg[0] not in written:
-            written = _Written(written | {e.arg[0]})
-        if e.caller is Caller.PROG:
+    elif e.op is _WRITE:
+        written = written.add(e.arg[0])
+        if e.caller is _PROG:
             responded = True
     return owner, written, responded
 
 
 def _ws_agree(s: WebServerState, a) -> bool:
-    """The state's tuples list exactly the abstraction's sets, each member once."""
+    """Same flag and sets; the context-opened tuple lists each member once."""
     owner, written, responded = a
-    ctx_opened = sorted(fd for fd, caller in owner.items() if caller is Caller.CTX)
-    if s.responded != responded or sorted(s.ctx_opened) != ctx_opened:
-        return False
-    if getattr(written, "listed_by", None) is not s.written:
-        if len(s.written) != len(written) or not written.issuperset(s.written):
-            return False
-        written.listed_by = s.written
-    return True
+    ctx_opened = sorted(fd for fd, caller in owner.items() if caller is _CTX)
+    return s.responded == responded and sorted(s.ctx_opened) == ctx_opened and s.written == written
 
 
 def _ws_upd(s: WebServerState, e: Event) -> WebServerState:
-    if e.op in _ALLOCATORS and is_ok(e.result):
-        fd = e.result.value
-        opened = tuple(x for x in s.ctx_opened if x != fd)
-        if e.caller is Caller.CTX:
-            opened += (fd,)
-        s = replace(s, ctx_opened=opened)
-    elif e.op is IoOp.CLOSE and is_ok(e.result):
-        s = replace(s, ctx_opened=tuple(x for x in s.ctx_opened if x != e.arg))
-    if e.op is IoOp.READ and is_ok(e.result):
-        s = replace(s, responded=False)
-    elif e.op is IoOp.WRITE:
-        fd = e.arg[0]
-        if e.caller is Caller.PROG:
-            s = replace(s, responded=True)
-        if fd not in s.written:
-            s = replace(s, written=s.written + (fd,))
-    return s
+    opened, responded, written = s.ctx_opened, s.responded, s.written
+    if isinstance(e.result, Ok):
+        if e.op in _ALLOCATORS:
+            fd = e.result.value
+            opened = tuple(x for x in opened if x != fd) + ((fd,) if e.caller is _CTX else ())
+        elif e.op is _CLOSE:
+            opened = tuple(x for x in opened if x != e.arg)
+        elif e.op is _READ:
+            responded = False
+    if e.op is _WRITE:
+        responded = responded or e.caller is _PROG
+        written = written.add(e.arg[0])
+    if responded is s.responded and written is s.written and opened == s.ctx_opened:
+        return s
+    return WebServerState(opened, responded, written)
 
 
 def webserver_mstate() -> MStateDesc[WebServerState]:

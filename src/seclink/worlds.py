@@ -20,7 +20,7 @@ from __future__ import annotations
 import base64
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .effects import Caller, Err, ErrCode, IoOp, Ok, Result
 
@@ -66,7 +66,16 @@ class World:
     written: dict[int, bytes] = field(default_factory=dict)
 
     def clone(self) -> "World":
-        return copy.deepcopy(self)
+        """A copy that shares the immutable `bytes` and copies what steps
+        mutate: `bytearray` contents, fd entries and the request list."""
+        own = lambda t: {k: bytearray(v) if type(v) is bytearray else v for k, v in t.items()}
+        return replace(
+            self,
+            files=own(self.files),
+            requests=list(self.requests),
+            fds={fd: copy.copy(entry) for fd, entry in self.fds.items()},
+            written=own(self.written),
+        )
 
 
 def make_world(files=None, requests=None, max_iterations=8) -> World:
@@ -147,128 +156,137 @@ def _append(table: dict, key, data: bytes) -> bytearray:
     return buf
 
 
+def _fields(*casts):
+    """Canonicaliser of a fixed-size argument tuple: one cast per field."""
+    def canon(arg):
+        fields = tuple(arg)
+        if len(fields) != len(casts):
+            raise ValueError(f"expected {len(casts)} fields, got {arg!r}")
+        return tuple([cast(x) for cast, x in zip(casts, fields)])
+
+    return canon
+
+
+class _ByOp(dict):
+    """One dict lookup per op, not a chain of `op is IoOp.X` tests (~0.15 µs each)."""
+
+    def __missing__(self, op):
+        raise ValueError(f"unknown op {op!r}")
+
+
+_open_fields = _fields(str, tuple, int)
+_CANON = _ByOp({
+    IoOp.OPENFILE: lambda arg: (arg, (), 0) if isinstance(arg, str) else _open_fields(arg),
+    IoOp.WRITE: _fields(int, bytes),
+    **dict.fromkeys((IoOp.READ, IoOp.CLOSE, IoOp.ACCEPT, IoOp.SETNONBLOCK), int),
+    IoOp.SOCKET: lambda arg: (),
+    IoOp.SETSOCKOPT: _fields(int, str, lambda value: value),
+    IoOp.BIND: _fields(int, str, int),
+    IoOp.LISTEN: _fields(int, int),
+    IoOp.SELECT: lambda arg: tuple(int(fd) for fd in arg),
+})
+
+
 def canon_arg(op: IoOp, arg):
     """Normalise an op argument to its canonical hashable form."""
-    if op is IoOp.OPENFILE:
-        if isinstance(arg, str):
-            return (arg, (), 0)
-        path, flags, mode = arg
-        return (str(path), tuple(flags), int(mode))
-    if op is IoOp.WRITE:
-        fd, data = arg
-        return (int(fd), bytes(data))
-    if op in (IoOp.READ, IoOp.CLOSE, IoOp.ACCEPT, IoOp.SETNONBLOCK):
-        return int(arg)
-    if op is IoOp.SOCKET:
-        return ()
-    if op is IoOp.SETSOCKOPT:
-        fd, name, value = arg
-        return (int(fd), str(name), value)
-    if op is IoOp.BIND:
-        fd, host, port = arg
-        return (int(fd), str(host), int(port))
-    if op is IoOp.LISTEN:
-        fd, backlog = arg
-        return (int(fd), int(backlog))
-    if op is IoOp.SELECT:
-        return tuple(int(fd) for fd in arg)
-    raise ValueError(f"unknown op {op!r}")
+    return _CANON[op](arg)
+
+
+def _openfile(world: World, caller: Caller, arg) -> Result:
+    path, flags, _mode = arg
+    if path not in world.files:
+        if "O_CREAT" in flags:
+            world.files[path] = b""
+        else:
+            return Err(ErrCode.ENOENT)
+    return Ok(_alloc(world, FileFd(path, 0, caller)))
+
+
+def _on_socket(act):
+    """Handler of an op on the socket `arg[0]`: `act(entry, arg)`, or EBADF."""
+    def handle(world: World, caller: Caller, arg) -> Result:
+        entry = world.fds.get(arg[0])
+        if not isinstance(entry, SocketFd):
+            return Err(ErrCode.EBADF)
+        act(entry, arg)
+        return Ok(())
+
+    return handle
+
+
+def _accept(world: World, caller: Caller, fd) -> Result:
+    entry = world.fds.get(fd)
+    if not isinstance(entry, SocketFd) or not entry.listening:
+        return Err(ErrCode.EBADF)
+    if world.next_request >= len(world.requests):
+        return Err(ErrCode.EWOULDBLOCK)
+    client_id, raw = world.requests[world.next_request]
+    world.next_request += 1
+    return Ok(_alloc(world, ClientFd(client_id, raw, caller)))
+
+
+def _select(world: World, caller: Caller, arg) -> Result:
+    ready = [
+        fd
+        for fd in sorted(arg)
+        if isinstance(world.fds.get(fd), ClientFd) and world.fds[fd].pending
+    ]
+    if not ready:
+        return Err(ErrCode.EWOULDBLOCK)
+    return Ok(ready[0])
+
+
+def _read(world: World, caller: Caller, fd) -> Result:
+    entry = world.fds.get(fd)
+    if isinstance(entry, FileFd):
+        content = world.files.get(entry.path, b"")
+        data = bytes(content[entry.cursor :])
+        entry.cursor = len(content)
+        return Ok(data)
+    if isinstance(entry, ClientFd):
+        if not entry.pending:
+            return Err(ErrCode.EWOULDBLOCK)
+        data, entry.pending = entry.pending, b""
+        return Ok(data)
+    return Err(ErrCode.EBADF)
+
+
+def _write(world: World, caller: Caller, arg) -> Result:
+    fd, data = arg
+    entry = world.fds.get(fd)
+    if entry is None or isinstance(entry, SocketFd):
+        return Err(ErrCode.EBADF)
+    if isinstance(entry, FileFd):
+        entry.cursor = len(_append(world.files, entry.path, data))
+    _append(world.written, fd, data)
+    return Ok(())
+
+
+def _close(world: World, caller: Caller, fd) -> Result:
+    if fd not in world.fds or isinstance(world.fds[fd], ConsoleFd):
+        return Err(ErrCode.EBADF)
+    del world.fds[fd]
+    return Ok(())
+
+
+_STEPS = _ByOp({
+    IoOp.OPENFILE: _openfile,
+    IoOp.SOCKET: lambda world, caller, arg: Ok(_alloc(world, SocketFd(caller))),
+    IoOp.SETSOCKOPT: _on_socket(lambda entry, arg: None),
+    IoOp.BIND: _on_socket(lambda entry, arg: setattr(entry, "bound", arg[1:])),
+    IoOp.LISTEN: _on_socket(lambda entry, arg: setattr(entry, "listening", True)),
+    IoOp.SETNONBLOCK: lambda world, caller, fd: Ok(()) if fd in world.fds else Err(ErrCode.EBADF),
+    IoOp.ACCEPT: _accept,
+    IoOp.SELECT: _select,
+    IoOp.READ: _read,
+    IoOp.WRITE: _write,
+    IoOp.CLOSE: _close,
+})
 
 
 def step(world: World, caller: Caller, op: IoOp, arg) -> Result:
     """Apply one IO operation to the world and return its in-band result."""
-    if op is IoOp.OPENFILE:
-        path, flags, _mode = arg
-        if path not in world.files:
-            if "O_CREAT" in flags:
-                world.files[path] = b""
-            else:
-                return Err(ErrCode.ENOENT)
-        return Ok(_alloc(world, FileFd(path, 0, caller)))
-
-    if op is IoOp.SOCKET:
-        return Ok(_alloc(world, SocketFd(caller)))
-
-    if op is IoOp.SETSOCKOPT:
-        fd = arg[0]
-        return Ok(()) if isinstance(world.fds.get(fd), SocketFd) else Err(ErrCode.EBADF)
-
-    if op is IoOp.BIND:
-        fd, host, port = arg
-        entry = world.fds.get(fd)
-        if not isinstance(entry, SocketFd):
-            return Err(ErrCode.EBADF)
-        entry.bound = (host, port)
-        return Ok(())
-
-    if op is IoOp.LISTEN:
-        fd = arg[0]
-        entry = world.fds.get(fd)
-        if not isinstance(entry, SocketFd):
-            return Err(ErrCode.EBADF)
-        entry.listening = True
-        return Ok(())
-
-    if op is IoOp.SETNONBLOCK:
-        fd = arg
-        if fd not in world.fds:
-            return Err(ErrCode.EBADF)
-        return Ok(())
-
-    if op is IoOp.ACCEPT:
-        fd = arg
-        entry = world.fds.get(fd)
-        if not isinstance(entry, SocketFd) or not entry.listening:
-            return Err(ErrCode.EBADF)
-        if world.next_request >= len(world.requests):
-            return Err(ErrCode.EWOULDBLOCK)
-        client_id, raw = world.requests[world.next_request]
-        world.next_request += 1
-        return Ok(_alloc(world, ClientFd(client_id, raw, caller)))
-
-    if op is IoOp.SELECT:
-        ready = [
-            fd
-            for fd in sorted(arg)
-            if isinstance(world.fds.get(fd), ClientFd) and world.fds[fd].pending
-        ]
-        if not ready:
-            return Err(ErrCode.EWOULDBLOCK)
-        return Ok(ready[0])
-
-    if op is IoOp.READ:
-        fd = arg
-        entry = world.fds.get(fd)
-        if isinstance(entry, FileFd):
-            content = world.files.get(entry.path, b"")
-            data = bytes(content[entry.cursor :])
-            entry.cursor = len(content)
-            return Ok(data)
-        if isinstance(entry, ClientFd):
-            if not entry.pending:
-                return Err(ErrCode.EWOULDBLOCK)
-            data, entry.pending = entry.pending, b""
-            return Ok(data)
-        return Err(ErrCode.EBADF)
-
-    if op is IoOp.WRITE:
-        fd, data = arg
-        entry = world.fds.get(fd)
-        if entry is None or isinstance(entry, SocketFd):
-            return Err(ErrCode.EBADF)
-        if isinstance(entry, FileFd):
-            entry.cursor = len(_append(world.files, entry.path, data))
-        _append(world.written, fd, data)
-        return Ok(())
-
-    if op is IoOp.CLOSE:
-        fd = arg
-        if fd not in world.fds or isinstance(world.fds[fd], ConsoleFd):
-            return Err(ErrCode.EBADF)
-        del world.fds[fd]
-        return Ok(())
-
-    raise ValueError(f"unknown op {op!r}")
+    return _STEPS[op](world, caller, arg)
 
 
 def render_trace(events) -> str:

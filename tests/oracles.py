@@ -6,7 +6,41 @@ oracle quantifies over read positions instead of folding an accumulator.
 
 from __future__ import annotations
 
-from seclink.effects import Caller, IoOp, is_ok
+from seclink.contracts import (
+    DBytes,
+    DClosure,
+    DErr,
+    DFd,
+    DInt,
+    DLeft,
+    DPair,
+    DRight,
+    DUnit,
+    DynValue,
+    TypeDesc,
+)
+from seclink.ctxdsl import (
+    App,
+    BytesLit,
+    Case,
+    CtxExpr,
+    Inject,
+    IntLit,
+    IoCall,
+    Lam,
+    Let,
+    PairE,
+    Proj,
+    TranslateError,
+    UnitLit,
+    Var,
+    _adapt_out,
+    _prim_closures,
+    curried_view,
+    typecheck,
+)
+from seclink.effects import Caller, Comp, IoOp, bind, evaluate, is_err, is_ok, ret
+from seclink.monitor import SecureIoLib
 
 
 def response_oracle(lt) -> bool:
@@ -21,3 +55,95 @@ def response_oracle(lt) -> bool:
             ):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluator of the context language: the tree-walking `_eval` the
+# staged compiler in `seclink.ctxdsl` replaced, kept as written.  It builds
+# a computation for every subterm, pure or not.
+# ---------------------------------------------------------------------------
+
+
+def _io_arg(op: IoOp, dv: DynValue):
+    if op is IoOp.OPENFILE:
+        return (dv.data.decode("latin-1"), (), 0)
+    if op is IoOp.WRITE:
+        return (dv.fst.fd, dv.snd.data)
+    if op in (IoOp.READ, IoOp.CLOSE):
+        return dv.fd
+    if op is IoOp.SOCKET:
+        return ()
+    raise TranslateError(f"operation {op.value} not callable from contexts")
+
+
+def _io_result(op: IoOp, result) -> DynValue:
+    if is_err(result):
+        return DRight(DErr(result.code, result.why))
+    if op in (IoOp.OPENFILE, IoOp.SOCKET):
+        return DLeft(DFd(result.value))
+    if op is IoOp.READ:
+        return DLeft(DBytes(result.value))
+    return DLeft(DUnit())
+
+
+def _eval(expr: CtxExpr, env: dict, lib: SecureIoLib) -> Comp:
+    if isinstance(expr, Var):
+        return ret(env[expr.name])
+    if isinstance(expr, IntLit):
+        return ret(DInt(expr.value))
+    if isinstance(expr, BytesLit):
+        return ret(DBytes(expr.value))
+    if isinstance(expr, UnitLit):
+        return ret(DUnit())
+    if isinstance(expr, Lam):
+        return ret(DClosure(lambda dv: _eval(expr.body, {**env, expr.var: dv}, lib)))
+    if isinstance(expr, App):
+        return bind(
+            _eval(expr.fn, env, lib),
+            lambda fn: bind(_eval(expr.arg, env, lib), lambda arg: fn.fn(arg)),
+        )
+    if isinstance(expr, PairE):
+        return bind(
+            _eval(expr.fst, env, lib),
+            lambda a: bind(_eval(expr.snd, env, lib), lambda b: ret(DPair(a, b))),
+        )
+    if isinstance(expr, Proj):
+        return bind(
+            _eval(expr.expr, env, lib),
+            lambda p: ret(p.fst if expr.side == "fst" else p.snd),
+        )
+    if isinstance(expr, Inject):
+        wrap = DLeft if expr.side == "inl" else DRight
+        return bind(_eval(expr.expr, env, lib), lambda v: ret(wrap(v)))
+    if isinstance(expr, Case):
+        def branch(v):
+            if isinstance(v, DLeft):
+                return _eval(expr.left_body, {**env, expr.left_var: v.value}, lib)
+            return _eval(expr.right_body, {**env, expr.right_var: v.value}, lib)
+
+        return bind(_eval(expr.scrutinee, env, lib), branch)
+    if isinstance(expr, Let):
+        return bind(
+            _eval(expr.bound, env, lib),
+            lambda v: _eval(expr.body, {**env, expr.var: v}, lib),
+        )
+    if isinstance(expr, IoCall):
+        return bind(
+            _eval(expr.arg, env, lib),
+            lambda dv: bind(lib.call(expr.op, _io_arg(expr.op, dv)), lambda r: ret(_io_result(expr.op, r))),
+        )
+    raise TypeError(f"unknown expression {expr!r}")
+
+
+def reference_translate(expr: CtxExpr, ctype: TypeDesc):
+    """`ctxdsl.translate` on the reference evaluator."""
+    typecheck(expr, curried_view(ctype))
+
+    def target_ctx(lib: SecureIoLib) -> DynValue:
+        try:
+            next(evaluate(_eval(expr, _prim_closures(), lib)))
+        except StopIteration as done:
+            return _adapt_out(done.value, ctype)
+        raise TranslateError("a context must be a value; effects belong inside its functions")
+
+    return target_ctx

@@ -10,10 +10,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_zip_fulltrace_bench_run_is_correct():
-    cmd = [sys.executable, "bench/run.py", "--workload", "zip-fulltrace", "--seed", "1"]
+def _bench_report(workload: str) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1"]
     cmd += ["--seconds", "1", "--trace", "0"]
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout.strip().splitlines()[-1])
-    assert report["correct"] is True
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_zip_fulltrace_bench_run_is_correct():
+    assert _bench_report("zip-fulltrace")["correct"] is True
+
+
+def test_web_unchecked_bench_run_is_correct():
+    # runs every generated DSL handler of the workload's cycle
+    assert _bench_report("web-unchecked")["correct"] is True

@@ -139,6 +139,23 @@ def test_context_source_file_missing(scenario, tmp_path, capsys):
     assert "context error" in capsys.readouterr().err
 
 
+def test_dump_trace_unwritable_path(scenario, tmp_path, capsys):
+    unwritable = tmp_path / "no-such-dir" / "trace.txt"
+    argv = ["run", "--scenario", scenario, "--program", "webserver", "--context", "benign"]
+    code = main(argv + ["--dump-trace", str(unwritable), "--check", "all"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("dump error: ")
+
+
+def test_unknown_policy_is_a_usage_error(scenario, capsys):
+    argv = ["run", "--scenario", scenario, "--program", "webserver", "--context", "benign"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--policy", "nope"])
+    assert exc.value.code == 2
+    assert "--policy" in capsys.readouterr().err
+    assert main(argv + ["--policy", "allow_all_in_tmp"]) == 0
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_bundle_rejects_samples_below_one(samples, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -2,11 +2,33 @@
 
 from __future__ import annotations
 
+import random
+import sys
+from pathlib import Path
+
+import oracles
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from seclink.contracts import ArrowT, DClosure, DInt, DLeft, EitherT, ErrT, FdT, IntT, Leaf, import_value
+from seclink.contracts import (
+    ArrowT,
+    BytesT,
+    DBytes,
+    DClosure,
+    DInt,
+    DLeft,
+    DPair,
+    DUnit,
+    EitherT,
+    ErrT,
+    FdT,
+    IntT,
+    Leaf,
+    PairT,
+    UnitT,
+    import_value,
+)
 from seclink.ctxdsl import (
     App,
     BytesLit,
@@ -31,14 +53,21 @@ from seclink.ctxdsl import (
     TypecheckError,
     UnitLit,
     Var,
+    _prim_closures,
+    _stage,
     curried_view,
     parse,
     pretty,
     translate,
     typecheck,
 )
-from seclink.demos import webserver
-from seclink.effects import IoOp, is_err
+from seclink.demos import webserver, webserver_bundle
+from seclink.demos.harness import link_whole
+from seclink.effects import IoOp, evaluate, is_err, ret
+from seclink.interp import interpret
+from seclink.linker import compile_interface
+from seclink.monitor import enforce_policy, stateless_mstate
+from seclink.worlds import make_world
 
 HANDLER_T = curried_view(webserver.HANDLER_TYPE)
 SEND_T = TArrow(TBytes(), TEither(TUnit(), TErr()))
@@ -272,3 +301,155 @@ def test_translate_rejects_toplevel_effects():
 
 def test_curried_view_of_handler_type():
     assert HANDLER_T == TArrow(TFd(), TArrow(TBytes(), TArrow(SEND_T, TEither(TUnit(), TErr()))))
+
+
+# -- staging against the reference evaluator ------------------------------------
+
+
+def _value_of(comp):
+    """The value of a computation that reaches no operation."""
+    try:
+        next(evaluate(comp))
+    except StopIteration as done:
+        return done.value
+    raise AssertionError("the computation reached an operation")
+
+
+def _sample(ty):
+    """One value of each type, to apply functions to."""
+    if isinstance(ty, TPair):
+        return DPair(_sample(ty.fst), _sample(ty.snd))
+    if isinstance(ty, TEither):
+        return DLeft(_sample(ty.left))
+    if isinstance(ty, TArrow):
+        return DClosure(lambda _: ret(_sample(ty.cod)))
+    return {TInt: DInt(7), TBytes: DBytes(b"ab"), TUnit: DUnit()}[type(ty)]
+
+
+def _same(ty, a, b) -> bool:
+    """Equal values of type `ty`; functions are compared on a sample argument."""
+    if isinstance(ty, TArrow):
+        arg = _sample(ty.dom)
+        return _same(ty.cod, _value_of(a.fn(arg)), _value_of(b.fn(arg)))
+    if isinstance(ty, TPair):
+        return _same(ty.fst, a.fst, b.fst) and _same(ty.snd, a.snd, b.snd)
+    if isinstance(ty, TEither):
+        side = ty.left if isinstance(a, DLeft) else ty.right
+        return type(a) is type(b) and _same(side, a.value, b.value)
+    return a == b
+
+
+@given(typed_terms)
+@settings(max_examples=200, deadline=None)
+def test_staged_value_equals_reference(pair):
+    ty, term = pair
+    env = _prim_closures()
+    pure, code = _stage(term)
+    assert pure  # these terms have no `io` and no application
+    assert _same(ty, code(env, None), _value_of(oracles._eval(term, env, None)))
+
+
+def _webserver_run(bundle, factory, world):
+    prog = bundle.prog_for_budget(world.max_iterations)
+    run = interpret(link_whole(bundle, factory, prog=prog), world, bundle.interface.mstate)
+    return run.local, run.result
+
+
+def _generated_handlers(seed: int) -> dict[str, str]:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        from workloads import GENERATED, generated_dsl_handler
+    finally:
+        sys.path.pop(0)
+    rng = random.Random(seed)
+    out = {}
+    for (low, high), rereads in GENERATED:
+        depth = rng.randint(low, high)
+        out[f"gen-d{depth}-r{rereads}"] = generated_dsl_handler(rereads, depth)
+    return out
+
+
+def test_staged_handlers_trace_equal_to_reference():
+    bundle = webserver_bundle()
+    ctype = compile_interface(bundle.interface).ctype
+    sources = {**bundle.dsl_sources, **_generated_handlers(5)}
+    req = b"GET /index.html HTTP/1.1\r\n\r\n"
+    worlds = bundle.worlds + [
+        make_world(
+            files={"/temp/index.html": b"<h1>hi</h1>"},
+            requests=[(i, req if i % 3 else b"junk") for i in range(12)],
+            max_iterations=12,
+        )
+    ]
+    compared = 0
+    for name, source in sources.items():
+        staged = translate(parse(source), ctype)
+        reference = oracles.reference_translate(parse(source), ctype)
+        for world in worlds:
+            got = _webserver_run(bundle, staged, world)
+            want = _webserver_run(bundle, reference, world)
+            assert got == want, (name, world)
+            compared += len(got[0])
+    assert compared > 500
+
+
+UNIT_TO = lambda cod: ArrowT((UnitT(),), cod)
+OPEN_RESULT = EitherT(FdT(), ErrT())
+# Terms whose two effectful parts each open a file: the events must come in
+# source order, exactly as the reference evaluator orders them.
+EFFECT_ORDER = {
+    "app": (
+        '\\u:unit. (case io Openfile "/a" of inl f => (\\x:bytes. x) | inr e => (\\x:bytes. "e"))'
+        ' (case io Openfile "/b" of inl g => "ok" | inr e => "err")',
+        UNIT_TO(BytesT()),
+        ["/a", "/b"],
+    ),
+    "pair": (
+        '\\u:unit. (io Openfile "/a", io Openfile "/b")',
+        UNIT_TO(PairT(OPEN_RESULT, OPEN_RESULT)),
+        ["/a", "/b"],
+    ),
+    "let": (
+        '\\u:unit. let x = io Openfile "/a" in io Openfile "/b"',
+        UNIT_TO(OPEN_RESULT),
+        ["/a", "/b"],
+    ),
+    "case": (
+        '\\u:unit. case io Openfile "/a" of inl f => io Openfile "/b" | inr e => io Openfile "/c"',
+        UNIT_TO(OPEN_RESULT),
+        ["/a", "/b"],
+    ),
+    "pure-fn-effectful-arg": (
+        '\\u:unit. let k = (\\x:either fd err. x) in k (io Openfile "/b")',
+        UNIT_TO(OPEN_RESULT),
+        ["/b"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EFFECT_ORDER))
+def test_effect_order_matches_reference(name):
+    source, ctype, paths = EFFECT_ORDER[name]
+    lib = enforce_policy(lambda s, op, arg: True, stateless_mstate())
+    world = make_world(files={"/a": b"A", "/b": b"B", "/c": b"C"})
+
+    def run(translator):
+        fn = translator(parse(source), ctype)(lib)
+        done = interpret(fn.fn(DUnit()), world, lib.desc)
+        return done.local, done.result
+
+    (local, result), want = run(translate), run(oracles.reference_translate)
+    assert [e.arg[0] for e in local] == paths
+    assert (local, result) == want
+
+
+def test_deep_pure_terms_run_as_deep_as_they_parse():
+    # a pure `let` body or `case` branch runs in the frame of its binder, so
+    # staged code nests no deeper than the parser and type checker do
+    n = 500
+    lets = "\\u:unit. " + "".join(f"let a{i} = {i} in " for i in range(n)) + f"a{n - 1}"
+    fn = translate(parse(lets), ArrowT((UnitT(),), IntT()))(None)
+    assert _value_of(fn.fn(DUnit())) == DInt(n - 1)
+    cases = "\\e:either int int. " + "case e of inl x => " * n + "x" + " | inr y => y" * n
+    fn = translate(parse(cases), ArrowT((EitherT(IntT(), IntT()),), IntT()))(None)
+    assert _value_of(fn.fn(DLeft(DInt(4)))) == DInt(4)

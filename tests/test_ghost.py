@@ -14,7 +14,14 @@ from seclink.demos.harness import link_whole
 from seclink.demos.ziplib import make_zip_prog
 from seclink.effects import Caller, Event, IoOp, Ok, call_io, do, get_mstate, ret
 from seclink.interp import GhostInvariantError, interpret
-from seclink.monitor import History, MStateDesc, full_trace_mstate, replay, webserver_mstate
+from seclink.monitor import (
+    History,
+    MStateDesc,
+    Written,
+    full_trace_mstate,
+    replay,
+    webserver_mstate,
+)
 from seclink.worlds import make_world
 
 WS = webserver_mstate()
@@ -156,3 +163,26 @@ def test_full_trace_agree_compares_each_event_once(n, monkeypatch):
     run = _zip_run(desc, n)
     assert run.result == n and len(run.local) == 4 * n + 3
     assert len(compared) == len(run.local)
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+def test_webserver_agree_visits_each_written_fd_once(n, monkeypatch):
+    # `agree` stops at the written pair it verified last: one node per newly
+    # written descriptor, whatever the run's length, and none at state reads.
+    visits = []
+    slot = Written.__dict__["fd"]
+
+    def read_fd(node):
+        visits.append(node)
+        return slot.__get__(node, Written)
+
+    monkeypatch.setattr(Written, "fd", property(read_fd, slot.__set__))
+    run = _server_run(WS, n)
+    assert run.mstate.written.length == n
+    assert len(visits) == n
+
+
+def test_checked_webserver_run_of_ten_thousand_requests():
+    run = _server_run(WS, 10_000)
+    assert len(run.local) > 7 * 10_000
+    assert run.mstate.written.length == 10_000 and run.audit_ok

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from generators import random_trace
 from seclink.demos import webserver
@@ -14,6 +17,7 @@ from seclink.effects import Caller, Event, IoOp, Ok, call_io, do, is_contract_fa
 from seclink.interp import interpret
 from seclink.monitor import (
     History,
+    Written,
     enforce_policy,
     full_trace_mstate,
     last_event_mstate,
@@ -76,12 +80,15 @@ def _altered(e: Event) -> Event:
 def _perturbed(name, state, history):
     """States that differ from the faithful `state` in one observable place."""
     if name == "webserver":
+        # `written` perturbations are carriers, so only the content can make them fail
+        carrier = lambda fds: functools.reduce(Written.add, fds, Written())
         out = [replace(state, responded=not state.responded)]
-        for part in ("ctx_opened", "written"):
-            fds = getattr(state, part)
-            out.append(replace(state, **{part: fds + (99,)}))
+        for part, build in (("ctx_opened", tuple), ("written", carrier)):
+            fds = tuple(getattr(state, part))
+            out.append(replace(state, **{part: build(fds + (99,))}))
             if fds:
-                out.append(replace(state, **{part: fds[1:]}))
+                out.append(replace(state, **{part: build(fds[1:])}))
+                out.append(replace(state, **{part: build(fds[1:] + (99,))}))  # one member swapped
         return out
     if name == "full-trace":
         # carriers of the right type, so only the content can make them fail
@@ -216,3 +223,19 @@ def test_full_trace_run_of_1e5_events():
     assert run.mstate == run.history
     del run
     gc.collect()
+
+
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 5)), max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_written_versions_behave_as_immutable_sets(steps):
+    # each step adds a descriptor to an earlier version (a fork unless it is
+    # the newest one); every version must keep exactly its own members
+    versions, models = [Written()], [frozenset()]
+    for pick, fd in steps:
+        i = pick % len(versions)
+        versions.append(versions[i].add(fd))
+        models.append(models[i] | {fd})
+    for version, model in zip(versions, models):
+        assert set(version) == model and version.length == len(model)
+        assert all((fd in version) == (fd in model) for fd in range(6))
+        assert version == functools.reduce(Written.add, sorted(model), Written())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from seclink.demos import zip_bundle
@@ -218,3 +220,53 @@ def test_dump_scenario_after_writes():
         requests=[(1, b"GET / HTTP/1.1\r\n\r\n")],
     )
     assert dump_scenario(w) == dump_scenario(expected)
+
+
+@do
+def _leave_descriptors_live():
+    # a listening socket, a client with its request unread, a file half read
+    sock = yield call_io(PROG, IoOp.SOCKET, ())
+    yield call_io(PROG, IoOp.BIND, (sock.value, "0.0.0.0", 80))
+    yield call_io(PROG, IoOp.LISTEN, (sock.value, 5))
+    yield call_io(PROG, IoOp.ACCEPT, sock.value)
+    log = yield call_io(PROG, IoOp.OPENFILE, ("/temp/log", ("O_CREAT",), 0o644))
+    yield call_io(PROG, IoOp.WRITE, (log.value, b"first"))
+    page = yield call_io(PROG, IoOp.OPENFILE, ("/temp/page", (), 0))
+    yield call_io(PROG, IoOp.READ, page.value)
+    return sock.value, log.value, page.value
+
+
+def _resume(fds):
+    sock, log, page = fds
+
+    @do
+    def resume():
+        client = yield call_io(PROG, IoOp.SELECT, tuple(range(sock, page + 1)))
+        request = yield call_io(PROG, IoOp.READ, client.value)
+        yield call_io(PROG, IoOp.WRITE, (client.value, b"re:" + request.value))
+        yield call_io(PROG, IoOp.WRITE, (log, b"second"))
+        # append through a second descriptor; the first one's cursor stays put
+        again = yield call_io(PROG, IoOp.OPENFILE, ("/temp/page", (), 0))
+        yield call_io(PROG, IoOp.WRITE, (again.value, b"+tail"))
+        rest = yield call_io(PROG, IoOp.READ, page)
+        other = yield call_io(PROG, IoOp.ACCEPT, sock)
+        yield call_io(PROG, IoOp.CLOSE, page)
+        return request.value, rest.value, other.value
+
+    return resume()
+
+
+def test_rerun_from_finished_world_matches_deepcopy():
+    scripted = dict(files={"/temp/page": b"<p>"}, requests=[(1, b"req-1"), (2, b"req-2")])
+    world = make_world(**scripted)
+    first = interpret(_leave_descriptors_live(), world, stateless_mstate())
+    snapshot = copy.deepcopy(first.world)
+    from_run = interpret(_resume(first.result), first.world, stateless_mstate())
+    from_copy = interpret(_resume(first.result), copy.deepcopy(first.world), stateless_mstate())
+    assert (from_run.local, from_run.result) == (from_copy.local, from_copy.result)
+    assert from_run.world == from_copy.world
+    assert from_run.result[:2] == (b"req-1", b"+tail")
+    assert from_run.world.files == {"/temp/page": b"<p>+tail", "/temp/log": b"firstsecond"}
+    assert first.world == snapshot  # the finished run's world is untouched
+    assert first.world.files["/temp/log"] == b"first"
+    assert world == make_world(**scripted)

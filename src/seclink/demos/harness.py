@@ -17,17 +17,12 @@ from ..contracts import import_value, make_checks_eff
 from ..effects import Caller, IoOp, call_io, do, is_err
 from ..interp import RunResult, interpret
 from ..linker import (
-    DualSourceInterface,
     SourceInterface,
     back_translate_ctx,
-    back_translate_ctx_dual,
     compile_interface,
     compile_prog,
-    compile_prog_dual,
     link_source,
-    link_source_dual,
     link_target,
-    link_target_dual,
 )
 from ..monitor import enforce_policy
 from ..traces import enforced_locally, in_folder
@@ -42,8 +37,8 @@ CTX_FIRST = "ctx-first"
 @dataclass
 class Bundle:
     name: str
-    mode: str
-    interface: SourceInterface | DualSourceInterface
+    mode: str  # who has initial control; only `--mode` reads it
+    interface: SourceInterface
     prog: Callable
     contexts: dict[str, Callable]
     worlds: list[World]
@@ -64,8 +59,6 @@ class Bundle:
         raise KeyError(f"unknown context {name!r} for bundle {self.name}")
 
     def _translated(self, source: str):
-        if self.mode != PROG_FIRST:
-            raise ValueError("source-text contexts are supported for program-first bundles")
         ctype = compile_interface(self.interface).ctype
         return ctxdsl.load(source, ctype)
 
@@ -231,7 +224,7 @@ def logging_bundle() -> Bundle:
         name="logging",
         mode=CTX_FIRST,
         interface=logging_lib.interface(),
-        prog=logging_lib.logger,
+        prog=logging_lib.prog,
         contexts=dict(logging_lib.CONTEXTS),
         worlds=logging_worlds(),
     )
@@ -264,16 +257,9 @@ def link_whole(bundle: Bundle, ctx, *, route: str = "target", prog=None):
     """Build the whole computation via the requested linking route."""
     iface = bundle.interface
     prog = prog if prog is not None else bundle.prog
-    if bundle.mode == PROG_FIRST:
-        if route == "target":
-            compiled = compile_prog(iface, prog)
-            return link_target(compile_interface(iface), compiled, ctx)
-        _whole_run_post, whole = link_source(iface, prog, back_translate_ctx(iface, ctx))
-        return whole
     if route == "target":
-        compiled = compile_prog_dual(iface, prog)
-        return link_target_dual(iface, compiled, ctx)
-    _policy_spec, whole = link_source_dual(iface, prog, back_translate_ctx_dual(iface, ctx))
+        return link_target(compile_interface(iface), compile_prog(iface, prog), ctx)
+    _whole_run_post, whole = link_source(iface, prog, back_translate_ctx(iface, ctx))
     return whole
 
 
@@ -282,14 +268,11 @@ def run_scenario(bundle: Bundle, context_name: str, world: World, world_index: i
     prog = bundle.prog_for_budget(world.max_iterations) if bundle.prog_for_budget else None
     whole = link_whole(bundle, ctx, prog=prog)
     run = interpret(whole, world, bundle.interface.mstate)
-    verdicts = {"capability-audit": run.audit_ok}
-    if bundle.mode == PROG_FIRST:
-        verdicts["whole-run-post"] = bundle.interface.whole_run_post((), run.result, run.local)
-    verdicts["policy-locally-enforced"] = enforced_locally(
-        bundle.interface.policy_spec if bundle.mode == CTX_FIRST else _ctx_only(bundle.interface.policy_spec),
-        (),
-        run.local,
-    )
+    verdicts = {
+        "capability-audit": run.audit_ok,
+        "whole-run-post": bundle.interface.whole_run_post((), run.result, run.local),
+        "policy-locally-enforced": enforced_locally(_ctx_only(bundle.interface.policy_spec), (), run.local),
+    }
     report = Report(
         bundle=bundle.name,
         context=context_name,
@@ -308,8 +291,8 @@ def run_scenario(bundle: Bundle, context_name: str, world: World, world_index: i
 
 
 def _ctx_only(policy_spec):
-    """Judge only untrusted-side events; the trusted side's are outside the
-    policy's remit in program-first scenarios."""
+    """Judge only untrusted-side events.  A rule for the trusted side's own
+    events belongs in the bundle's whole-run post-condition."""
 
     def weakened(h, caller, op, arg):
         return caller is Caller.PROG or policy_spec(h, caller, op, arg)

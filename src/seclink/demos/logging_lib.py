@@ -1,11 +1,14 @@
 """Logging library scenario: the untrusted side has initial control.
 
-The trusted side is just a logger that writes its argument to the console.
-The policy forces an alternation: the untrusted context can perform an IO
-operation only when the immediately preceding event is a console log of
-that operation's name, and the logger itself refuses to log twice in a row
-(its call contract requires the previous event to be the context's).  The
-monitor state is only the last event.
+A context with initial control is a context at a higher-order type.  Here
+it has type `logger -> int`: the trusted program applies it to a logger
+that writes its argument to the console, and the contracts on the way in
+export the logger to it, guarded by the logger's check.  The policy forces
+an alternation: the untrusted context can perform an IO operation only
+when the immediately preceding event is a console log of that operation's
+name, and the logger itself refuses to log twice in a row (its call
+contract requires the previous event to be the context's).  The monitor
+state is only the last event.
 """
 
 from __future__ import annotations
@@ -16,16 +19,21 @@ from ..contracts import (
     BytesT,
     CheckKind,
     DBytes,
+    DClosure,
+    DInt,
     DRight,
     EitherT,
+    EmptyNode,
     ErrT,
+    IntT,
     Leaf,
     Node,
     UnitT,
 )
-from ..effects import Caller, Event, IoOp, Ok, call_io, do, is_err, is_ok, ret
-from ..linker import DualSourceInterface
+from ..effects import Caller, Event, IoOp, Ok, bind, call_io, do, is_err, is_ok, ret
+from ..linker import SourceInterface
 from ..monitor import SecureIoLib, last_event_mstate
+from ..traces import enforced_locally
 from ..worlds import STDOUT_FD
 
 
@@ -77,13 +85,15 @@ LOGGER_TYPE = ArrowT(
 )
 
 
-def interface() -> DualSourceInterface:
-    return DualSourceInterface(
+def interface() -> SourceInterface:
+    return SourceInterface(
         label="logging",
-        ptype=LOGGER_TYPE,
+        ctype=ArrowT((LOGGER_TYPE,), IntT()),
         policy_spec=policy_spec,
         policy=policy,
-        cks=Node(_logger_ck, Leaf(), Leaf()),
+        cks=EmptyNode(Node(_logger_ck, Leaf(), Leaf()), Leaf()),
+        # the whole trace, the logger's own writes included
+        whole_run_post=lambda h, _r, lt: enforced_locally(policy_spec, h, lt),
         mstate=last_event_mstate(),
     )
 
@@ -92,6 +102,11 @@ def interface() -> DualSourceInterface:
 def logger(message: bytes):
     result = yield call_io(Caller.PROG, IoOp.WRITE, (STDOUT_FD, message))
     return result
+
+
+def prog(ctx):
+    """The trusted program: hand the logger to the context."""
+    return ctx(logger)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +190,20 @@ def ctx_idle(_lib: SecureIoLib, _log):
     return ret(0)
 
 
+def _lifted(ctx):
+    """A context written as `(lib, log) -> computation of an int`, as a
+    target context of type `logger -> int`."""
+
+    def target_ctx(lib: SecureIoLib):
+        return DClosure(lambda log: bind(ctx(lib, log), lambda n: ret(DInt(n))))
+
+    return target_ctx
+
+
 CONTEXTS = {
-    "well-behaved": ctx_well_behaved,
-    "skips-logging": ctx_skips_logging,
-    "double-logs": ctx_double_logs,
-    "mislabels": ctx_mislabels,
-    "idle": ctx_idle,
+    "well-behaved": _lifted(ctx_well_behaved),
+    "skips-logging": _lifted(ctx_skips_logging),
+    "double-logs": _lifted(ctx_double_logs),
+    "mislabels": _lifted(ctx_mislabels),
+    "idle": _lifted(ctx_idle),
 }

@@ -7,11 +7,12 @@ post-condition, and the monitor state.  Compiling erases the contract
 declarations from the published type; linking supplies the secure IO
 library and the effectful checks.
 
-Both orders of control are supported: the program may use the context as a
-library (the context's type is in the interface), or the context may have
-initial control and use the program as a library (the program's type is in
-the interface, and the program is exported rather than the context
-imported).
+A context with initial control is a context at a higher-order type: it
+takes the trusted program's library as its argument (say `logger -> int`),
+and the program only applies it.  The imported context exports that
+argument through the contracts, so the check tree's node for the library
+guards every call the context makes into it.  One linking path serves both
+orders of control.
 
 Back-translation turns a dynamic context into a strong one by partially
 applying import; linking the result with the program reproduces, trace for
@@ -27,7 +28,6 @@ from .contracts import (
     CheckTree,
     DynValue,
     TypeDesc,
-    export_value,
     import_value,
     make_checks_eff,
     shape_matches,
@@ -116,46 +116,6 @@ def back_translate_ctx(iface: SourceInterface, ctx: TargetCtx) -> SourceCtx:
     return source_ctx
 
 
-# ---------------------------------------------------------------------------
-# Dual order of control: the program is the library
-# ---------------------------------------------------------------------------
-
-DualSourceProg = Any  # strong value of ptype
-DualTargetCtx = Callable[[SecureIoLib, DynValue], Comp]
-DualSourceCtx = Callable[[SecureIoLib, CheckTree, Any], Comp]
-
-
-@dataclass(frozen=True, eq=False)
-class DualSourceInterface:
-    label: str
-    ptype: TypeDesc
-    policy_spec: PolicySpec
-    policy: Policy
-    cks: CheckTree
-    mstate: MStateDesc
-
-    def __post_init__(self):
-        if not shape_matches(self.ptype, self.cks):
-            raise ValueError(f"{self.label}: check tree does not match the program type")
-
-
-def compile_prog_dual(iface: DualSourceInterface, prog: DualSourceProg) -> DynValue:
-    """Export the program through the contracts for untrusted callers."""
-    return export_value(iface.ptype, make_checks_eff(iface.cks), prog)
-
-
-def link_target_dual(iface: DualSourceInterface, compiled: DynValue, ctx: DualTargetCtx) -> Comp:
-    lib = enforce_policy(iface.policy, iface.mstate)
-    return ctx(lib, compiled)
-
-
-def link_source_dual(iface: DualSourceInterface, prog: DualSourceProg, ctx: DualSourceCtx):
-    lib = enforce_policy(iface.policy, iface.mstate)
-    return iface.policy_spec, ctx(lib, make_checks_eff(iface.cks), prog)
-
-
-def back_translate_ctx_dual(iface: DualSourceInterface, ctx: DualTargetCtx) -> DualSourceCtx:
-    def source_ctx(lib: SecureIoLib, eff_cks: CheckTree, prog: DualSourceProg) -> Comp:
-        return ctx(lib, export_value(iface.ptype, eff_cks, prog))
-
-    return source_ctx
+# Kept only so that bench/tracing.py, which wraps these names, still finds them.
+compile_prog_dual = compile_prog
+link_target_dual = link_target

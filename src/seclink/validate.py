@@ -29,8 +29,6 @@ from .httputil import http_ok
 from .monitor import MStateDesc, replay
 from .traces import enforced_locally
 
-CONSTRAINTS = ("c_pre", "c_post", "c1_post", "c2_post")
-
 
 @dataclass
 class Counterexample:
@@ -281,12 +279,10 @@ def validate_arrow(
 
 
 def validate_interface(iface, *, samples: int = 10_000, seed: int = 20240901) -> ValidationReport:
-    """Search for constraint violations in a source interface (either
-    order of control)."""
+    """Search for constraint violations in a source interface."""
     rng = random.Random(seed)
     report = ValidationReport(samples=samples)
-    ctype = getattr(iface, "ctype", None) or iface.ptype
-    for arrow, node in collect_specced_arrows(ctype, iface.cks):
+    for arrow, node in collect_specced_arrows(iface.ctype, iface.cks):
         validate_arrow(
             arrow,
             node,

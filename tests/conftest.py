@@ -8,6 +8,13 @@ from seclink.worlds import make_world
 
 VALID_REQ = b"GET /index.html HTTP/1.1\r\n\r\n"
 
+# A logging context in source text: log the open, then open a note.
+LOGGING_CTX_SOURCE = r"""\log:(bytes -> either unit err).
+  case log "Openfile\n" of
+    inl u => (case io Openfile "/temp/notes.txt" of inl f => 1 | inr e => 0)
+  | inr e => 0
+"""
+
 
 @pytest.fixture(scope="session")
 def ws_bundle():
@@ -34,3 +41,10 @@ def sample_worlds():
 @pytest.fixture(scope="session")
 def ws_desc():
     return webserver_mstate()
+
+
+@pytest.fixture()
+def logging_ctx_file(tmp_path):
+    path = tmp_path / "logging.ctx"
+    path.write_text(LOGGING_CTX_SOURCE)
+    return str(path)

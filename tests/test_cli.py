@@ -84,6 +84,24 @@ def test_run_ctx_first(scenario, capsys):
     assert "holds" in capsys.readouterr().out
 
 
+def test_run_logging_source_text_context(scenario, logging_ctx_file, capsys):
+    code = main(
+        [
+            "run",
+            "--scenario",
+            scenario,
+            "--program",
+            "logging",
+            "--context",
+            "file:" + logging_ctx_file,
+            "--check",
+            "enforced_locally",
+        ]
+    )
+    assert code == 0
+    assert "property enforced_locally holds" in capsys.readouterr().out
+
+
 def test_mode_mismatch(scenario, capsys):
     code = main(
         ["run", "--scenario", scenario, "--program", "logging", "--context", "idle", "--mode", "prog-first"]

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from seclink.contracts import EmptyNode, Leaf
 from seclink.demos import (
     BUNDLES,
     attribute_mechanism,
+    link_whole,
     logging_bundle,
     run_scenario,
     zip_bundle,
@@ -16,6 +19,8 @@ from seclink.demos import (
 from seclink.demos.harness import webserver_interface
 from seclink.effects import Caller, IoOp
 from seclink.httputil import valid_http_request, valid_http_response
+from seclink.interp import interpret
+from seclink.traces import enforced_locally
 from seclink.worlds import make_world
 
 
@@ -131,6 +136,33 @@ def test_logging_alternation_trace():
         Caller.CTX,
     ]
     assert report.result == 3
+
+
+def test_logging_source_text_context(logging_ctx_file):
+    bundle = logging_bundle()
+    ctx = bundle.context("file:" + logging_ctx_file)
+    desc = bundle.interface.mstate
+    for i, world in enumerate(bundle.worlds):
+        via_target = interpret(link_whole(bundle, ctx, route="target"), world, desc)
+        via_source = interpret(link_whole(bundle, ctx, route="source"), world, desc)
+        assert (via_target.local, via_target.result) == (via_source.local, via_source.result), i
+        assert enforced_locally(bundle.interface.policy_spec, (), via_target.local), i
+        assert [e.caller for e in via_target.local] == [Caller.PROG, Caller.CTX], i
+        assert via_target.result == int(world.files.get("/temp/notes.txt") is not None), i
+
+
+def test_logging_whole_run_post_judges_the_loggers_writes():
+    # Without the logger's check, a context can make it write twice in a
+    # row: the context's own events stay within the policy, the whole run
+    # does not.
+    bundle = logging_bundle()
+    bundle.interface = dataclasses.replace(bundle.interface, cks=EmptyNode(Leaf(), Leaf()))
+    report = run_scenario(bundle, "double-logs", bundle.worlds[0])
+    writes = [e for e in report.run.local if e.op is IoOp.WRITE]
+    assert len(writes) == 2 and all(e.caller is Caller.PROG for e in writes)
+    assert report.verdicts["whole-run-post"] is False
+    assert report.verdicts["policy-locally-enforced"] is True
+    assert report.verdicts["capability-audit"] is True
 
 
 def test_zip_reports(tmp_path):

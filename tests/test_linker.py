@@ -1,4 +1,4 @@
-"""Compilation, linking in both directions, and back-translation."""
+"""Compilation, linking in both orders of control, and back-translation."""
 
 from __future__ import annotations
 
@@ -9,14 +9,10 @@ from seclink.interp import interpret
 from seclink.linker import (
     LINK_FAILURE_EXIT,
     back_translate_ctx,
-    back_translate_ctx_dual,
     compile_interface,
     compile_prog,
-    compile_prog_dual,
     link_source,
-    link_source_dual,
     link_target,
-    link_target_dual,
 )
 from seclink.traces import enforced_locally
 from seclink.worlds import make_world
@@ -108,7 +104,7 @@ def test_capability_audit_counts(ws_bundle, small_world):
     assert run.ctx_events == run.monitored_calls > 0
 
 
-# -- dual order of control -----------------------------------------------------
+# -- the context has initial control ------------------------------------------
 
 
 def logging_world():
@@ -118,14 +114,12 @@ def logging_world():
 def test_dual_link_and_inversion():
     bundle = logging_bundle()
     iface = bundle.interface
-    compiled = compile_prog_dual(iface, bundle.prog)
+    compiled = compile_prog(iface, bundle.prog)
     for name, ctx in bundle.contexts.items():
         world = logging_world()
-        via_target = observed(link_target_dual(iface, compiled, ctx), world, iface.mstate)
-        policy_spec, whole = link_source_dual(
-            iface, bundle.prog, back_translate_ctx_dual(iface, ctx)
-        )
-        assert policy_spec is iface.policy_spec
+        via_target = observed(link_target(compile_interface(iface), compiled, ctx), world, iface.mstate)
+        whole_run_post, whole = link_source(iface, bundle.prog, back_translate_ctx(iface, ctx))
+        assert whole_run_post is iface.whole_run_post
         via_source = observed(whole, world, iface.mstate)
         assert via_target == via_source, name
 
@@ -133,9 +127,9 @@ def test_dual_link_and_inversion():
 def test_dual_soundness_full_trace_within_policy_spec():
     bundle = logging_bundle()
     iface = bundle.interface
-    compiled = compile_prog_dual(iface, bundle.prog)
+    compiled = compile_prog(iface, bundle.prog)
     for name, ctx in bundle.contexts.items():
-        run = interpret(link_target_dual(iface, compiled, ctx), logging_world(), iface.mstate)
+        run = interpret(link_target(compile_interface(iface), compiled, ctx), logging_world(), iface.mstate)
         assert enforced_locally(iface.policy_spec, (), run.local), name
 
 

@@ -157,12 +157,7 @@ def interface() -> SourceInterface:
 
 
 def _send_to(client: int):
-    @do
-    def send(response: bytes):
-        result = yield call_io(Caller.PROG, IoOp.WRITE, (client, response))
-        return result
-
-    return send
+    return lambda response: call_io(Caller.PROG, IoOp.WRITE, (client, response))
 
 
 def make_server_prog(budget: int = DEFAULT_REQUEST_BUDGET):

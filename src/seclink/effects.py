@@ -1,12 +1,11 @@
 """Computation trees over a monitored IO signature, and the loop that runs them.
 
-A computation is a tree of three node kinds: `Ret(value)`, an operation
-`Call` awaiting its result, and `Bind(m, f)`.  Programs are written either
-with the `ret`/`bind` combinators or with the `@do` generator notation;
-both build the same trees, and `bind` only allocates a node.  `evaluate`,
-the one loop that runs trees, keeps continuations on an explicit stack and
-hands each `Call` to its driver (`seclink.interp`): O(1) per operation at
-any nesting depth, and no Python recursion.
+A computation is a tree of four node kinds: `Ret(value)`, an operation
+`Call` awaiting its result, `Bind(m, f)`, and `Do(body, args)`, one `@do`
+call; building one only allocates a node.  `evaluate`, the one loop that
+runs trees, keeps continuations and running `@do` generators on an
+explicit stack and hands each `Call` to its driver (`seclink.interp`):
+O(1) per operation at any nesting depth, and no Python recursion.
 
 Caller tags distinguish trusted program code from untrusted context code.
 Context code never constructs IO call nodes directly; it goes through the
@@ -16,9 +15,9 @@ monitor-mediated so the interpreter can audit the discipline.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from enum import Enum
+from types import GeneratorType
 from typing import Any, Callable
 
 
@@ -143,44 +142,53 @@ class Bind(Comp):
     f: Callable[[Any], Comp]
 
 
-def ret(value) -> Comp:
-    return Ret(value)
+@dataclass(slots=True, eq=False)
+class Do(Comp):
+    body: Callable[..., Any]  # a generator function
+    args: tuple
 
 
-def bind(m: Comp, f: Callable[[Any], Comp]) -> Comp:
-    return Bind(m, f)
+ret = Ret
+bind = Bind
 
 
 def evaluate(comp: Comp):
     """Run `comp` as a generator: it yields each `Call` node, is sent that
     call's result, and returns the computation's value.  A node that is not
-    a computation raises `TypeError`.
+    a computation raises `TypeError`.  A frame is a `Bind` continuation or a
+    running `@do` generator; the node classes are final, so tests are exact.
     """
     frames = []
     cur = comp
     while True:
-        if isinstance(cur, Bind):
+        kind = type(cur)
+        if kind is Bind:
             frames.append(cur.f)
             cur = cur.m
             continue
-        if isinstance(cur, Ret):
+        if kind is Do:
+            frames.append(cur.body(*cur.args))
+            value = None
+        elif kind is Ret:
             value = cur.value
-        elif isinstance(cur, Call):
+        elif kind is Call:
             value = yield cur
         else:
             raise TypeError(f"not a computation: {cur!r}")
-        if not frames:
+        while frames:  # hand `value` to the innermost frame
+            top = frames[-1]
+            if type(top) is not GeneratorType:
+                frames.pop()
+                cur = top(value)
+                break
+            try:
+                cur = top.send(value)
+                break
+            except StopIteration as stop:
+                frames.pop()
+                value = stop.value
+        else:
             return value
-        cur = frames.pop()(value)
-
-
-def _advance(gen, value) -> Comp:
-    # One step of a `@do` body: the generator is the frame's state.
-    try:
-        step = gen.send(value)
-    except StopIteration as stop:
-        return Ret(stop.value)
-    return Bind(step, functools.partial(_advance, gen))
 
 
 def do(fn):
@@ -188,13 +196,13 @@ def do(fn):
 
     The decorated generator function yields computations and receives their
     results; its return value becomes the result of the whole computation.
-    Each interpretation instantiates a fresh generator, so the built tree
-    stays reinterpretable as long as the generator body is pure.
+    A call (positional arguments only) builds one `Do` node, and each
+    interpretation instantiates a fresh generator, so the built tree stays
+    reinterpretable as long as the generator body is pure.
     """
 
-    @functools.wraps(fn)
-    def build(*args, **kwargs) -> Comp:
-        return Bind(Ret(None), lambda _: _advance(fn(*args, **kwargs), None))
+    def build(*args) -> Comp:
+        return Do(fn, args)
 
     return build
 

@@ -1,7 +1,7 @@
 """Deterministic interpreter: the handler that runs a computation tree
-against a world.  It drives `effects.evaluate` and answers each call it
-yields: a state read with the monitor state, an IO call with one
-`worlds.step`.
+against a world.  It drives `effects.evaluate`, which runs binds and `@do`
+bodies itself, and answers each call it yields: a state read with the
+monitor state, an IO call with one `worlds.step`.
 
 Alongside the world it maintains ghost state: the events of this run and
 the monitor-state value, updated on every recorded event.  In check mode

@@ -12,6 +12,8 @@ Histories are reverse-chronological; local traces are chronological.
 from __future__ import annotations
 
 import posixpath
+from collections.abc import Sequence
+from itertools import chain
 from typing import Any, Callable, Iterable
 
 from .effects import Caller, Event, IoOp, Ok, Trace, is_ok
@@ -26,12 +28,27 @@ TraceProperty = Callable[[Trace, int], bool]
 
 def enforced_locally(policy_spec: PolicySpec, h: Trace, lt: Iterable[Event]) -> bool:
     """Every event of `lt` satisfies `policy_spec` against the history it saw."""
-    hist = list(h)
-    for e in lt:
-        if not policy_spec(tuple(hist), e.caller, e.op, e.arg):
-            return False
-        hist.insert(0, e)
-    return True
+    events = tuple(lt)
+    return all(policy_spec(_Seen(events, n, h), e.caller, e.op, e.arg) for n, e in enumerate(events))
+
+
+class _Seen(Sequence):
+    """History seen by event `n`, as an O(1) view: events[n-1], ..., events[0], older."""
+
+    __slots__ = ("_events", "_n", "_older")
+
+    def __init__(self, events: Trace, n: int, older: Trace):
+        self._events, self._n, self._older = events, n, older
+
+    def __len__(self):
+        return self._n + len(self._older)
+
+    def __getitem__(self, i: int):
+        i = range(len(self))[i]  # negative indices count from the end; IndexError past it
+        return self._events[self._n - 1 - i] if i < self._n else self._older[i - self._n]
+
+    def __iter__(self):
+        return chain(map(self._events.__getitem__, range(self._n - 1, -1, -1)), self._older)
 
 
 def every_request_gets_a_response(lt: Iterable[Event]) -> bool:

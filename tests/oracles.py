@@ -6,6 +6,8 @@ oracle quantifies over read positions instead of folding an accumulator.
 
 from __future__ import annotations
 
+import functools
+
 from seclink.contracts import (
     DBytes,
     DClosure,
@@ -39,7 +41,7 @@ from seclink.ctxdsl import (
     curried_view,
     typecheck,
 )
-from seclink.effects import Caller, Comp, IoOp, bind, evaluate, is_err, is_ok, ret
+from seclink.effects import Bind, Call, Caller, Comp, IoOp, Ret, bind, evaluate, is_err, is_ok, ret
 from seclink.monitor import SecureIoLib
 
 
@@ -55,6 +57,72 @@ def response_oracle(lt) -> bool:
             ):
                 return False
     return True
+
+
+def reference_enforced_locally(policy_spec, h, lt) -> bool:
+    """`traces.enforced_locally` as it was: one fresh tuple per event, so a
+    fold is quadratic in the trace length."""
+    hist = list(h)
+    for e in lt:
+        if not policy_spec(tuple(hist), e.caller, e.op, e.arg):
+            return False
+        hist.insert(0, e)
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluation core: `effects.evaluate` and `@do` before `Do` nodes,
+# kept as written.  A `@do` call builds `Bind(Ret(None), …)`, and each step
+# of its generator allocates a `Bind` and a `partial` of `_advance`.
+# ---------------------------------------------------------------------------
+
+
+def reference_evaluate(comp: Comp):
+    """Run `comp` as a generator: it yields each `Call` node, is sent that
+    call's result, and returns the computation's value.  A node that is not
+    a computation raises `TypeError`.
+    """
+    frames = []
+    cur = comp
+    while True:
+        if isinstance(cur, Bind):
+            frames.append(cur.f)
+            cur = cur.m
+            continue
+        if isinstance(cur, Ret):
+            value = cur.value
+        elif isinstance(cur, Call):
+            value = yield cur
+        else:
+            raise TypeError(f"not a computation: {cur!r}")
+        if not frames:
+            return value
+        cur = frames.pop()(value)
+
+
+def _advance(gen, value) -> Comp:
+    # One step of a `@do` body: the generator is the frame's state.
+    try:
+        step = gen.send(value)
+    except StopIteration as stop:
+        return Ret(stop.value)
+    return Bind(step, functools.partial(_advance, gen))
+
+
+def reference_do(fn):
+    """Generator notation for computations.
+
+    The decorated generator function yields computations and receives their
+    results; its return value becomes the result of the whole computation.
+    Each interpretation instantiates a fresh generator, so the built tree
+    stays reinterpretable as long as the generator body is pure.
+    """
+
+    @functools.wraps(fn)
+    def build(*args, **kwargs) -> Comp:
+        return Bind(Ret(None), lambda _: _advance(fn(*args, **kwargs), None))
+
+    return build
 
 
 # ---------------------------------------------------------------------------

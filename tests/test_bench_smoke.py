@@ -25,3 +25,8 @@ def test_zip_fulltrace_bench_run_is_correct():
 def test_web_unchecked_bench_run_is_correct():
     # runs every generated DSL handler of the workload's cycle
     assert _bench_report("web-unchecked")["correct"] is True
+
+
+def test_web_checked_bench_run_is_correct():
+    # the `seclink run` path: `run_scenario` with the ghost check on
+    assert _bench_report("web-checked")["correct"] is True

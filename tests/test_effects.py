@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import inspect
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seclink.effects import Caller, Err, ErrCode, IoOp, Ok, bind, call_io, do, get_mstate, ret
+from oracles import reference_do, reference_evaluate
+from seclink import interp
+from seclink.effects import Caller, Err, ErrCode, IoOp, Ok, bind, call_io, do, evaluate, get_mstate, ret
 from seclink.interp import CapabilityError, interpret
 from seclink.monitor import stateless_mstate, webserver_mstate
 from seclink.worlds import make_world
@@ -28,15 +31,58 @@ def observe(comp, worlds):
 # -- small computation grammar for law tests --------------------------------
 
 
-def comp_from_plan(plan):
-    """Build a computation from a list of op codes (data, so hypothesis can
-    shrink it)."""
+class Boom(Exception):
+    """Raised on purpose by generated programs."""
+
+
+def comp_from_plan(plan, do_=do):
+    """A computation from a list of steps (data, so hypothesis can shrink
+    it), written with the `@do` notation `do_`.
+
+    Steps: "open", "read" and "state" run one operation in a `@do` body that
+    then yields the rest; "rets" yields three `ret`s first; "bind" puts the
+    rest under a plain `bind` chain; "nest" runs it under two more `@do`
+    calls; "junk" hands the loop a non-computation; ("body", k) is a `@do`
+    body and ("cont", k) a `bind` continuation that raises after k reads.
+    """
     if not plan:
         return ret(0)
     head, *rest = plan
+    if head == "bind":
+        return bind(bind(comp_from_plan(rest, do_), lambda x: ret(x + 1)), lambda x: ret(2 * x))
+    if head == "junk":
+        return bind(ret(0), lambda _: 42)
+    if head == "nest":
 
-    @do
-    def built():
+        @do_
+        def inner(n):
+            r = yield comp_from_plan(rest, do_)
+            return r * n
+
+        @do_
+        def outer(n):
+            r = yield inner(n)
+            return r + 1
+
+        return outer(3)
+    if isinstance(head, tuple):
+        where, k = head
+
+        def boom(_):
+            raise Boom(where, k)
+
+        @do_
+        def reads():
+            for _ in range(k):
+                yield call_io(Caller.PROG, IoOp.READ, 3)
+            if where == "body":
+                raise Boom(where, k)
+            return 0
+
+        return bind(reads(), boom) if where == "cont" else reads()
+
+    @do_
+    def step():
         acc = 0
         if head == "open":
             r = yield call_io(Caller.PROG, IoOp.OPENFILE, ("/temp/a.txt", (), 0))
@@ -44,13 +90,16 @@ def comp_from_plan(plan):
         elif head == "state":
             s = yield get_mstate()
             acc = len(s.ctx_opened)
+        elif head == "rets":
+            for i in range(3):
+                acc += yield ret(i)
         else:
             r = yield call_io(Caller.PROG, IoOp.READ, 3)
             acc = len(r.value) if isinstance(r, Ok) else -2
-        rest_result = yield comp_from_plan(rest)
+        rest_result = yield comp_from_plan(rest, do_)
         return acc + rest_result
 
-    return built()
+    return step()
 
 
 plans = st.lists(st.sampled_from(["open", "state", "read"]), max_size=4)
@@ -275,3 +324,60 @@ def test_resume_depth_does_not_grow_with_nesting():
 def test_non_computations_raise_type_error(build, small_world):
     with pytest.raises(TypeError):
         run(build(), small_world)
+
+
+def test_do_body_exception_propagates_unchanged(small_world):
+    # Plugin containment will turn this into an in-band failure on purpose;
+    # until then a raising `@do` body escapes `interpret` as it was raised.
+    boom = ZeroDivisionError("handler bug")
+
+    @do
+    def body():
+        yield call_io(Caller.PROG, IoOp.READ, 99)
+        raise boom
+
+    @do
+    def outer(n):
+        if n == 0:
+            r = yield body()
+            return r
+        r = yield outer(n - 1)
+        return r
+
+    with pytest.raises(ZeroDivisionError) as raised:
+        run(bind(outer(3), ret), small_world)
+    assert raised.value is boom
+
+
+# -- the evaluation core against the reference core ---------------------------
+
+
+core_plans = st.lists(
+    st.one_of(
+        st.sampled_from(["open", "read", "state", "rets", "bind", "nest", "junk"]),
+        st.tuples(st.sampled_from(["body", "cont"]), st.integers(0, 3)),
+    ),
+    max_size=8,
+)
+
+
+def core_outcome(comp, world, evaluate_):
+    """(result, local trace, audit) of one run on `evaluate_`, or what it raised."""
+    with mock.patch.object(interp, "evaluate", evaluate_):
+        try:
+            done = interpret(comp, world, webserver_mstate())
+        except Exception as exc:
+            return ("raised", type(exc), exc.args)
+        return (done.result, done.local, done.audit_ok)
+
+
+@given(core_plans)
+@settings(max_examples=150, deadline=None)
+def test_evaluate_agrees_with_reference_core(plan):
+    comp = comp_from_plan(plan)
+    reference = comp_from_plan(plan, reference_do)
+    for world in some_worlds():
+        expected = core_outcome(reference, world, reference_evaluate)
+        # twice: each run instantiates fresh `@do` generators
+        assert core_outcome(comp, world, evaluate) == expected
+        assert core_outcome(comp, world, evaluate) == expected

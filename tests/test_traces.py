@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_trace
-from oracles import response_oracle
-from seclink.demos import webserver
+from oracles import reference_enforced_locally, response_oracle
+from seclink.demos import harness, logging_lib, webserver, ziplib
 from seclink.effects import Caller, Err, ErrCode, Event, IoOp, Ok, ret
 from seclink.monitor import full_trace_mstate, stateless_mstate
 from seclink.traces import (
@@ -69,6 +69,52 @@ def test_enforced_locally_splits(seed, cut):
         webserver.policy_spec, tuple(reversed(first)) + h, second
     )
     assert whole == split
+
+
+def recording(spec, seen):
+    """`spec`, noting each history it is shown as it reads it."""
+
+    def judged(h, caller, op, arg):
+        seen.append((len(h), h[0] if len(h) else None, h[-1] if len(h) else None, tuple(h)))
+        return spec(h, caller, op, arg)
+
+    return judged
+
+
+SPECS = [
+    webserver.policy_spec,
+    ziplib.policy_spec,
+    logging_lib.policy_spec,
+    harness.allow_all_in_tmp_spec,
+    lambda h, caller, op, arg: True,
+]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(SPECS))))
+@settings(max_examples=150, deadline=None)
+def test_enforced_locally_agrees_with_reference_fold(seed, which):
+    rng = random.Random(seed)
+    lt = random_trace(rng, 20)
+    h = tuple(reversed(random_trace(rng, 5)))
+    seen, expected = [], []
+    verdict = enforced_locally(recording(SPECS[which], seen), h, lt)
+    assert verdict == reference_enforced_locally(recording(SPECS[which], expected), h, lt)
+    assert seen == expected
+
+
+def test_enforced_locally_folds_a_long_trace():
+    # 10^5 events: the reference fold, quadratic, takes seconds upon seconds
+    events = [PROG_READ_4, PROG_WRITE_4] * (5 * 10**4)
+    h = (CTX_OPEN_A,)
+
+    position = iter(range(len(events)))
+
+    def spec(seen, caller, op, arg):
+        n = next(position)
+        newest = events[n - 1] if n else CTX_OPEN_A
+        return len(seen) == n + 1 and seen[0] is newest and seen[-1] is CTX_OPEN_A
+
+    assert enforced_locally(spec, h, events)
 
 
 # -- every_request_gets_a_response -------------------------------------------

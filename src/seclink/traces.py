@@ -29,7 +29,10 @@ TraceProperty = Callable[[Trace, int], bool]
 def enforced_locally(policy_spec: PolicySpec, h: Trace, lt: Iterable[Event]) -> bool:
     """Every event of `lt` satisfies `policy_spec` against the history it saw."""
     events = tuple(lt)
-    return all(policy_spec(_Seen(events, n, h), e.caller, e.op, e.arg) for n, e in enumerate(events))
+    for n, e in enumerate(events):
+        if not policy_spec(_Seen(events, n, h), e.caller, e.op, e.arg):
+            return False
+    return True
 
 
 class _Seen(Sequence):

@@ -19,6 +19,7 @@ implication's hypotheses were actually exercised.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -86,61 +87,92 @@ _BYTES = (
 _RESULTS = (Ok(()), Err(ErrCode.EBADF), contract_failure("sampled"), Err(ErrCode.ENOENT))
 
 
+@functools.cache
+def _draw_trees():
+    """Nested tuples, one level per draw in the order `SampleSpace` draws, with
+    the sample at each leaf: a random event (op, caller, the op's own draws),
+    a history's last read (fd, bytes), and `compliant_event`'s extras (temp
+    path, open fd, write fd, bytes; a list, so a walk stops on it)."""
+
+    def by_op(c):
+        def both(op, arg, ok, err):
+            return Event(c, op, arg, ok), Event(c, op, arg, err)
+
+        enoent, ebadf = Err(ErrCode.ENOENT), Err(ErrCode.EBADF)
+        return (
+            tuple(tuple(both(IoOp.OPENFILE, (p, (), 0), Ok(fd), enoent) for fd in _FDS) for p in _PATHS),
+            tuple(tuple(both(IoOp.READ, fd, Ok(b), ebadf) for b in _BYTES) for fd in _FDS),
+            tuple(tuple(both(IoOp.WRITE, (fd, b), Ok(()), ebadf) for b in _BYTES) for fd in _FDS),
+            tuple(both(IoOp.CLOSE, fd, Ok(()), ebadf) for fd in _FDS),
+            tuple(Event(c, IoOp.SOCKET, (), Ok(fd)) for fd in _FDS),
+            tuple(tuple(Event(c, IoOp.ACCEPT, a, Ok(fd)) for fd in _FDS) for a in _FDS),
+        )
+
+    events = tuple(zip(by_op(Caller.PROG), by_op(Caller.CTX)))
+    last_reads = tuple(tuple(Event(Caller.PROG, IoOp.READ, fd, Ok(b)) for b in _BYTES) for fd in _FDS)
+    temp = [p for p in _PATHS if p.startswith("/temp")]
+    opens = [[Event(Caller.CTX, IoOp.OPENFILE, (p, (), 0), Ok(fd)) for fd in _FDS] for p in temp]
+    writes = [[Event(Caller.PROG, IoOp.WRITE, (fd, b), Ok(())) for b in _BYTES] for fd in _FDS]
+    extras = tuple(tuple(tuple(tuple([o, w] for w in ws) for ws in writes) for o in row) for row in opens)
+    return events, last_reads, extras
+
+
+def _draw(getrandbits, node):
+    """The leaf reached by one branch per level, each drawn as `random.Random.choice`
+    draws it: `getrandbits(len(node).bit_length())`, redrawn while >= `len(node)`.
+    So a seed gives the same samples as one `choice` per level."""
+    while type(node) is tuple:
+        n = len(node)
+        i = getrandbits(n.bit_length())
+        while i >= n:
+            i = getrandbits(n.bit_length())
+        node = node[i]
+    return node
+
+
+class _SampledClosure:
+    """The function argument every sample passes: it fails in-band.  One
+    object with a fixed repr, so counterexample text is the same in every
+    process."""
+
+    def __call__(self, *args):
+        return ret(contract_failure("sampled closure"))
+
+    def __repr__(self):
+        return "<sampled closure>"
+
+
+_SAMPLED_CLOSURE = _SampledClosure()
+
+
 class SampleSpace:
     """Draws histories, local traces, arguments and results that collide
-    often enough to exercise every implication's hypotheses."""
+    often enough to exercise every implication's hypotheses.  Events are
+    leaves of the draw trees, so the seed alone fixes every sample."""
 
     def __init__(self, rng: random.Random, policy_spec, desc: MStateDesc):
         self.rng = rng
         self.policy_spec = policy_spec
         self.desc = desc
+        self._bits = rng.getrandbits
+        self._events, self._last_reads, self._extras = _draw_trees()
 
     def random_event(self) -> Event:
-        rng = self.rng
-        op = rng.choice((IoOp.OPENFILE, IoOp.READ, IoOp.WRITE, IoOp.CLOSE, IoOp.SOCKET, IoOp.ACCEPT))
-        caller = rng.choice((Caller.PROG, Caller.CTX))
-        if op is IoOp.OPENFILE:
-            arg = (rng.choice(_PATHS), (), 0)
-            result = rng.choice((Ok(rng.choice(_FDS)), Err(ErrCode.ENOENT)))
-        elif op is IoOp.READ:
-            arg = rng.choice(_FDS)
-            result = rng.choice((Ok(rng.choice(_BYTES)), Err(ErrCode.EBADF)))
-        elif op is IoOp.WRITE:
-            arg = (rng.choice(_FDS), rng.choice(_BYTES))
-            result = rng.choice((Ok(()), Err(ErrCode.EBADF)))
-        elif op in (IoOp.SOCKET, IoOp.ACCEPT):
-            arg = () if op is IoOp.SOCKET else rng.choice(_FDS)
-            result = Ok(rng.choice(_FDS))
-        else:
-            arg = rng.choice(_FDS)
-            result = rng.choice((Ok(()), Err(ErrCode.EBADF)))
-        return Event(caller, op, arg, result)
+        return _draw(self._bits, self._events)
 
     def history_events(self) -> list[Event]:
         """Chronological prefix; biased to end in a successful read so that
         response-style pre-conditions are reachable."""
         events = [self.random_event() for _ in range(self.rng.randrange(0, 8))]
         if self.rng.random() < 0.6:
-            events.append(
-                Event(Caller.PROG, IoOp.READ, self.rng.choice(_FDS), Ok(self.rng.choice(_BYTES)))
-            )
+            events.append(_draw(self._bits, self._last_reads))
         return events
 
     def compliant_event(self, h: tuple) -> Event | None:
-        candidates = []
-        rng = self.rng
-        for _ in range(6):
-            e = self.random_event()
-            if self.policy_spec(h, e.caller, e.op, e.arg):
-                candidates.append(e)
-        path = (rng.choice([p for p in _PATHS if p.startswith("/temp")]), (), 0)
-        for extra in (
-            Event(Caller.CTX, IoOp.OPENFILE, path, Ok(rng.choice(_FDS))),
-            Event(Caller.PROG, IoOp.WRITE, (rng.choice(_FDS), rng.choice(_BYTES)), Ok(())),
-        ):
-            if self.policy_spec(h, extra.caller, extra.op, extra.arg):
-                candidates.append(extra)
-        return rng.choice(candidates) if candidates else None
+        spec = self.policy_spec
+        drawn = [self.random_event() for _ in range(6)] + _draw(self._bits, self._extras)
+        candidates = [e for e in drawn if spec(h, e.caller, e.op, e.arg)]
+        return self.rng.choice(candidates) if candidates else None
 
     def local_events(self, h_events: list[Event], *, compliant: bool) -> list[Event]:
         n = self.rng.randrange(0, 5)
@@ -170,7 +202,7 @@ class SampleSpace:
         if isinstance(td, UnitT):
             return ()
         if isinstance(td, ArrowT):
-            return lambda *args: ret(contract_failure("sampled closure"))
+            return _SAMPLED_CLOSURE
         if isinstance(td, PairT):
             return (self._arg(td.fst), self._arg(td.snd))
         if isinstance(td, EitherT):
@@ -178,13 +210,11 @@ class SampleSpace:
         return ()
 
     def result(self):
-        r = self.rng.choice(_RESULTS)
-        return r
+        return self.rng.choice(_RESULTS)
 
     def states_for(self, h_events: list[Event], lt_events: list[Event]):
         s0 = replay(self.desc, h_events)
-        s1 = replay(self.desc, h_events + lt_events)
-        return s0, s1
+        return s0, functools.reduce(self.desc.upd, lt_events, s0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +238,10 @@ def validate_arrow(
     ck = node.ck
     label = spec.label
 
-    def record(constraint: str, detail: str):
+    def record(constraint: str, detail: str) -> bool:
+        """Note a counterexample; True once there are enough to stop."""
         report.counterexamples.append(Counterexample(label, constraint, detail))
+        return len(report.counterexamples) >= max_counterexamples
 
     def bump(constraint: str):
         key = (label, constraint)
@@ -224,8 +256,7 @@ def validate_arrow(
             if ck(x, s, (), s):
                 bump("c_pre")
                 if spec.pre is not None and not spec.pre(x, h):
-                    record("c_pre", f"x={x!r} h={h!r}")
-                    if len(report.counterexamples) >= max_counterexamples:
+                    if record("c_pre", f"x={x!r} h={h!r}"):
                         return
         if spec.post is not None:
             for _ in range(samples):
@@ -245,8 +276,7 @@ def validate_arrow(
                     continue
                 bump("c_post")
                 if not enforced_locally(policy_spec, h, lt):
-                    record("c_post", f"x={x!r} h={h!r} r={r!r} lt={lt!r}")
-                    if len(report.counterexamples) >= max_counterexamples:
+                    if record("c_post", f"x={x!r} h={h!r} r={r!r} lt={lt!r}"):
                         return
         return
 
@@ -268,13 +298,11 @@ def validate_arrow(
         if ck(x, s0, r, s1):
             bump("c1_post")
             if spec.post is not None and not spec.post(x, h, r, tuple(lt)):
-                record("c1_post", f"x={x!r} h={h!r} r={r!r} lt={lt!r}")
-                if len(report.counterexamples) >= max_counterexamples:
+                if record("c1_post", f"x={x!r} h={h!r} r={r!r} lt={lt!r}"):
                     return
         bump("c2_post")
         if spec.post is not None and not spec.post(x, h, contract_failure(), tuple(lt)):
-            record("c2_post", f"x={x!r} h={h!r} lt={lt!r}")
-            if len(report.counterexamples) >= max_counterexamples:
+            if record("c2_post", f"x={x!r} h={h!r} lt={lt!r}"):
                 return
 
 

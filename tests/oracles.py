@@ -7,6 +7,7 @@ oracle quantifies over read positions instead of folding an accumulator.
 from __future__ import annotations
 
 import functools
+import random
 
 from seclink.contracts import (
     DBytes,
@@ -41,8 +42,11 @@ from seclink.ctxdsl import (
     curried_view,
     typecheck,
 )
-from seclink.effects import Bind, Call, Caller, Comp, IoOp, Ret, bind, evaluate, is_err, is_ok, ret
-from seclink.monitor import SecureIoLib
+from seclink.contracts import ArrowT, BytesT, EitherT, FdT, IntT, PairT, UnitT
+from seclink.effects import Bind, Call, Caller, Comp, Err, ErrCode, Event, IoOp, Ok, Ret, bind, contract_failure
+from seclink.effects import evaluate, is_err, is_ok, ret
+from seclink.monitor import MStateDesc, SecureIoLib, replay
+from seclink.validate import _BYTES, _FDS, _PATHS, _RESULTS
 
 
 def response_oracle(lt) -> bool:
@@ -215,3 +219,112 @@ def reference_translate(expr: CtxExpr, ctype: TypeDesc):
         raise TranslateError("a context must be a value; effects belong inside its functions")
 
     return target_ctx
+
+
+# ---------------------------------------------------------------------------
+# Reference sampler: `validate.SampleSpace` before draw trees, kept as
+# written.  Each sample is built from `rng.choice` calls, with an `Ok` and
+# an `Err` made for every result draw; `states_for` replays the history
+# twice, and a function argument is a fresh lambda.
+# ---------------------------------------------------------------------------
+
+
+class ReferenceSampleSpace:
+    """Draws histories, local traces, arguments and results that collide
+    often enough to exercise every implication's hypotheses."""
+
+    def __init__(self, rng: random.Random, policy_spec, desc: MStateDesc):
+        self.rng = rng
+        self.policy_spec = policy_spec
+        self.desc = desc
+
+    def random_event(self) -> Event:
+        rng = self.rng
+        op = rng.choice((IoOp.OPENFILE, IoOp.READ, IoOp.WRITE, IoOp.CLOSE, IoOp.SOCKET, IoOp.ACCEPT))
+        caller = rng.choice((Caller.PROG, Caller.CTX))
+        if op is IoOp.OPENFILE:
+            arg = (rng.choice(_PATHS), (), 0)
+            result = rng.choice((Ok(rng.choice(_FDS)), Err(ErrCode.ENOENT)))
+        elif op is IoOp.READ:
+            arg = rng.choice(_FDS)
+            result = rng.choice((Ok(rng.choice(_BYTES)), Err(ErrCode.EBADF)))
+        elif op is IoOp.WRITE:
+            arg = (rng.choice(_FDS), rng.choice(_BYTES))
+            result = rng.choice((Ok(()), Err(ErrCode.EBADF)))
+        elif op in (IoOp.SOCKET, IoOp.ACCEPT):
+            arg = () if op is IoOp.SOCKET else rng.choice(_FDS)
+            result = Ok(rng.choice(_FDS))
+        else:
+            arg = rng.choice(_FDS)
+            result = rng.choice((Ok(()), Err(ErrCode.EBADF)))
+        return Event(caller, op, arg, result)
+
+    def history_events(self) -> list[Event]:
+        """Chronological prefix; biased to end in a successful read so that
+        response-style pre-conditions are reachable."""
+        events = [self.random_event() for _ in range(self.rng.randrange(0, 8))]
+        if self.rng.random() < 0.6:
+            events.append(
+                Event(Caller.PROG, IoOp.READ, self.rng.choice(_FDS), Ok(self.rng.choice(_BYTES)))
+            )
+        return events
+
+    def compliant_event(self, h: tuple) -> Event | None:
+        candidates = []
+        rng = self.rng
+        for _ in range(6):
+            e = self.random_event()
+            if self.policy_spec(h, e.caller, e.op, e.arg):
+                candidates.append(e)
+        path = (rng.choice([p for p in _PATHS if p.startswith("/temp")]), (), 0)
+        for extra in (
+            Event(Caller.CTX, IoOp.OPENFILE, path, Ok(rng.choice(_FDS))),
+            Event(Caller.PROG, IoOp.WRITE, (rng.choice(_FDS), rng.choice(_BYTES)), Ok(())),
+        ):
+            if self.policy_spec(h, extra.caller, extra.op, extra.arg):
+                candidates.append(extra)
+        return rng.choice(candidates) if candidates else None
+
+    def local_events(self, h_events: list[Event], *, compliant: bool) -> list[Event]:
+        n = self.rng.randrange(0, 5)
+        if not compliant:
+            return [self.random_event() for _ in range(n)]
+        out: list[Event] = []
+        hist = tuple(reversed(h_events))
+        for _ in range(n):
+            e = self.compliant_event(hist)
+            if e is None:
+                break
+            out.append(e)
+            hist = (e,) + hist
+        return out
+
+    def args_for(self, doms) -> tuple:
+        return tuple(self._arg(d) for d in doms)
+
+    def _arg(self, td):
+        rng = self.rng
+        if isinstance(td, FdT):
+            return rng.choice(_FDS)
+        if isinstance(td, BytesT):
+            return rng.choice(_BYTES)
+        if isinstance(td, IntT):
+            return rng.randrange(-2, 10)
+        if isinstance(td, UnitT):
+            return ()
+        if isinstance(td, ArrowT):
+            return lambda *args: ret(contract_failure("sampled closure"))
+        if isinstance(td, PairT):
+            return (self._arg(td.fst), self._arg(td.snd))
+        if isinstance(td, EitherT):
+            return Ok(self._arg(td.left)) if rng.random() < 0.5 else contract_failure("sampled")
+        return ()
+
+    def result(self):
+        r = self.rng.choice(_RESULTS)
+        return r
+
+    def states_for(self, h_events: list[Event], lt_events: list[Event]):
+        s0 = replay(self.desc, h_events)
+        s1 = replay(self.desc, h_events + lt_events)
+        return s0, s1

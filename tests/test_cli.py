@@ -7,6 +7,7 @@ import json
 import pytest
 
 from seclink.cli import main
+from seclink.demos import BUNDLES
 from seclink.worlds import dump_scenario, make_world
 
 REQ = b"GET /index.html HTTP/1.1\r\n\r\n"
@@ -219,3 +220,9 @@ def test_check_failure_prints_violation(scenario, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1
     assert "violated by" in out and "result:" in out
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_verify_bundle_on_every_bundle(name, capsys):
+    assert main(["verify-bundle", "--interface", name, "--samples", "200"]) == 0
+    assert "no counterexamples" in capsys.readouterr().out

@@ -10,7 +10,10 @@ terminates.
 `parse` builds the AST, `typecheck` verifies it against the boundary type
 it must inhabit, and `translate` stages the term once, compiling it to
 closures, and produces a target context whose runtime behaviour matches a
-hand-written one event for event.
+hand-written one event for event.  Staging resolves each variable to its
+index in an immutable cons-list environment and fuses the pure steps that
+follow an effect into one loop, so the cost of a read does not grow with
+the `let`s around it.
 
 Concrete syntax::
 
@@ -51,8 +54,9 @@ from .contracts import (
     PairT,
     TypeDesc,
     UnitT,
+    components,
 )
-from .effects import Bind, IoOp, Ret, bind, do, evaluate, is_err, ret
+from .effects import Bind, IoOp, Ret, evaluate, is_err, ret
 from .monitor import SecureIoLib
 
 # ---------------------------------------------------------------------------
@@ -604,6 +608,8 @@ def _prim_closures() -> dict[str, DynValue]:
     }
 
 
+_PRIMS = _prim_closures()  # stateless closures, shared by every staged term
+
 # Per op: the library argument of a language value, and the language value
 # of a successful result (errors become `inr`).
 _IO_CONV = {
@@ -615,126 +621,174 @@ _IO_CONV = {
 }
 
 
+def _run(post, v, env, lib):
+    for step in post:
+        v = step(v, env, lib)
+    return v
+
+
 def _then(staged, k, k_pure: bool):
     """Stage "evaluate `staged`, then `k(value, env, lib)`", where `k` gives a
-    value if `k_pure` and a computation otherwise."""
-    pure, code = staged
+    value if `k_pure` and a computation otherwise.  A pure `k` after an
+    effectful term joins its post steps; only an effectful one costs a `Bind`."""
+    pure, code, post = staged
     if pure:
-        return k_pure, lambda env, lib: k(code(env, lib), env, lib)
+        return k_pure, lambda env, lib: k(code(env, lib), env, lib), ()
     if k_pure:
-        return False, lambda env, lib: Bind(code(env, lib), lambda v: Ret(k(v, env, lib)))
-    return False, lambda env, lib: Bind(code(env, lib), lambda v: k(v, env, lib))
+        return False, code, post + (k,)
+    return False, lambda env, lib: Bind(code(env, lib), lambda v: k(_run(post, v, env, lib), env, lib)), ()
 
 
 def _comp(staged):
-    """The code of a staged term as code that builds a computation."""
-    pure, code = staged
-    return (lambda env, lib: Ret(code(env, lib))) if pure else code
+    """The code of a staged term as code that builds its whole computation,
+    post steps included: what a binder runs under its extended environment."""
+    pure, code, post = staged
+    if pure:
+        return lambda env, lib: Ret(code(env, lib))
+    if post:
+        return lambda env, lib: Bind(code(env, lib), lambda v: Ret(_run(post, v, env, lib)))
+    return code
 
 
-def _stage(expr: CtxExpr):
-    """Compile a term once to `(pure, code)`.  A pure term (no `io`, no
-    application) has `code(env, lib)` return its value; any other returns
-    its computation, with its effects in source order."""
+def _lookup(scope, name: str):
+    """Code reading `name`: a primitive is a constant, a variable is read at
+    its index in the environment, resolved here."""
+    i = 0
+    while scope is not None and scope[0] != name:
+        scope, i = scope[1], i + 1
+    if scope is None:
+        prim = _PRIMS[name]
+        return lambda env, lib: prim
+    if i == 0:
+        return lambda env, lib: env[0]
+
+    def walk(env, lib):
+        for _ in range(i):
+            env = env[1]
+        return env[0]
+
+    return walk
+
+
+def _stage(expr: CtxExpr, scope=None):
+    """Compile a term once to `(pure, code, post)`.  Environments, like
+    `scope` (the binder names in scope), are immutable cons cells
+    `(innermost, rest)`, so a binder costs one cell.  A pure term (no `io`,
+    no application) has `code(env, lib)` return its value and no `post`; any
+    other has it return a computation, with its effects in source order,
+    whose value the pure steps `post` finish, each `step(v, env, lib)`."""
     if isinstance(expr, Var):
-        name = expr.name
-        return True, lambda env, lib: env[name]
+        return True, _lookup(scope, expr.name), ()
     if isinstance(expr, (IntLit, BytesLit, UnitLit)):
         kind = {IntLit: DInt, BytesLit: DBytes}.get(type(expr))
         value = kind(expr.value) if kind else DUnit()
-        return True, lambda env, lib: value
+        return True, lambda env, lib: value, ()
     if isinstance(expr, Lam):
-        var, body = expr.var, _comp(_stage(expr.body))
-        return True, lambda env, lib: DClosure(lambda dv: body({**env, var: dv}, lib))
+        body = _comp(_stage(expr.body, (expr.var, scope)))
+        return True, lambda env, lib: DClosure(lambda dv: body((dv, env), lib)), ()
     if isinstance(expr, App):
-        fn, arg = _stage(expr.fn), _stage(expr.arg)
+        fn, arg = _stage(expr.fn, scope), _stage(expr.arg, scope)
         if fn[0]:  # a pure function position reads the same after the argument's effects
             return _then(arg, lambda a, env, lib: fn[1](env, lib).fn(a), False)
         if arg[0]:
             return _then(fn, lambda f, env, lib: f.fn(arg[1](env, lib)), False)
-        return _then(fn, lambda f, env, lib: Bind(arg[1](env, lib), f.fn), False)
+        ac = _comp(arg)
+        return _then(fn, lambda f, env, lib: Bind(ac(env, lib), f.fn), False)
     if isinstance(expr, PairE):
-        fst, snd = _stage(expr.fst), _stage(expr.snd)
+        fst, snd = _stage(expr.fst, scope), _stage(expr.snd, scope)
         if snd[0]:
             return _then(fst, lambda a, env, lib: DPair(a, snd[1](env, lib)), True)
         if fst[0]:
             return _then(snd, lambda b, env, lib: DPair(fst[1](env, lib), b), True)
-        pair_with = lambda a, env, lib: Bind(snd[1](env, lib), lambda b: Ret(DPair(a, b)))
+        sc = _comp(snd)
+        pair_with = lambda a, env, lib: Bind(sc(env, lib), lambda b: Ret(DPair(a, b)))
         return _then(fst, pair_with, False)
     if isinstance(expr, Proj):
         first = expr.side == "fst"
-        return _then(_stage(expr.expr), lambda p, env, lib: p.fst if first else p.snd, True)
+        return _then(_stage(expr.expr, scope), lambda p, env, lib: p.fst if first else p.snd, True)
     if isinstance(expr, Inject):
         wrap = DLeft if expr.side == "inl" else DRight
-        return _then(_stage(expr.expr), lambda v, env, lib: wrap(v), True)
+        return _then(_stage(expr.expr, scope), lambda v, env, lib: wrap(v), True)
     if isinstance(expr, Case):
-        (lp, lc), (rp, rc) = _stage(expr.left_body), _stage(expr.right_body)
-        if lp != rp:
-            lp, lc, rc = False, _comp((lp, lc)), _comp((rp, rc))
-        lv, rv, (sp, sc) = expr.left_var, expr.right_var, _stage(expr.scrutinee)
+        left = _stage(expr.left_body, (expr.left_var, scope))
+        right = _stage(expr.right_body, (expr.right_var, scope))
+        pure = left[0] and right[0]
+        lc, rc = (left[1], right[1]) if pure else (_comp(left), _comp(right))
+        scrutinee = _stage(expr.scrutinee, scope)
+        sp, sc = scrutinee[0], scrutinee[1]
 
         def case(env, lib, v=None):  # reads a pure scrutinee itself: one frame per nested case
             if sp:
                 v = sc(env, lib)
-            if isinstance(v, DLeft):
-                return lc({**env, lv: v.value}, lib)
-            return rc({**env, rv: v.value}, lib)
+            return lc((v.value, env), lib) if isinstance(v, DLeft) else rc((v.value, env), lib)
 
-        return (lp, case) if sp else _then((sp, sc), lambda v, env, lib: case(env, lib, v), lp)
+        return (pure, case, ()) if sp else _then(scrutinee, lambda v, env, lib: case(env, lib, v), pure)
     if isinstance(expr, Let):
-        var, (bp, bc), (body_pure, body) = expr.var, _stage(expr.bound), _stage(expr.body)
-        if bp:  # one frame per nested binding, no deeper than the parser goes
-            return body_pure, lambda env, lib: body({**env, var: bc(env, lib)}, lib)
-        return _then((bp, bc), lambda v, env, lib: body({**env, var: v}, lib), body_pure)
+        bound, body = _stage(expr.bound, scope), _stage(expr.body, (expr.var, scope))
+        body_pure, bc = body[0], body[1] if body[0] else _comp(body)
+        if bound[0]:  # one frame per nested binding, no deeper than the parser goes
+            return body_pure, lambda env, lib: bc((bound[1](env, lib), env), lib), ()
+        return _then(bound, lambda v, env, lib: bc((v, env), lib), body_pure)
     if isinstance(expr, IoCall):
         op, (to_arg, of_ok) = expr.op, _IO_CONV[expr.op]
-        done = lambda r: Ret(DRight(DErr(r.code, r.why)) if is_err(r) else DLeft(of_ok(r.value)))
-        call = lambda dv, env, lib: Bind(lib.call(op, to_arg(dv)), done)
-        return _then(_stage(expr.arg), call, False)
+        call = lambda dv, env, lib: lib.call(op, to_arg(dv))
+        done = lambda r, env, lib: DRight(DErr(r.code, r.why)) if is_err(r) else DLeft(of_ok(r.value))
+        return False, _then(_stage(expr.arg, scope), call, False)[1], (done,)
     raise TypeError(f"unknown expression {expr!r}")
+
+
+def _plain(td: TypeDesc) -> bool:
+    """Adapting a value of type `td` is the identity: no arrow inside it
+    takes two or more arguments."""
+    return not (isinstance(td, ArrowT) and len(td.doms) > 1) and all(map(_plain, components(td)))
 
 
 def _adapt_out(v: DynValue, td: TypeDesc) -> DynValue:
     """Shape a language value to the boundary type (uncurry functions)."""
+    if _plain(td):
+        return v
     if isinstance(td, ArrowT):
-        doms, cod = td.doms, td.cod
+        doms, cod, n = td.doms, td.cod, len(td.doms)
+        plain, plain_cod = [*map(_plain, doms)], _plain(cod)  # decided once per value
 
-        @do
-        def fn(*dyn_args):
-            cur = v
-            for dom, arg in zip(doms, dyn_args):
-                cur = yield cur.fn(_adapt_in(arg, dom))
-            return _adapt_out(cur, cod)
+        def fn(*args, m=Ret(v), i=0):
+            # apply the curried value to `args[i:]`: a step that returns a
+            # `Ret` is consumed in place (bind (return f) k = k f)
+            while i < n:
+                if type(m) is not Ret:
+                    return Bind(m, lambda f: fn(*args, m=Ret(f), i=i))
+                m = m.value.fn(args[i] if plain[i] else _adapt_in(args[i], doms[i]))
+                i += 1
+            return m if plain_cod else Bind(m, lambda r: Ret(_adapt_out(r, cod)))
 
         return DClosure(fn)
     if isinstance(td, PairT):
         return DPair(_adapt_out(v.fst, td.fst), _adapt_out(v.snd, td.snd))
-    if isinstance(td, EitherT):
-        if isinstance(v, DLeft):
-            return DLeft(_adapt_out(v.value, td.left))
-        return DRight(_adapt_out(v.value, td.right))
-    return v
+    if isinstance(v, DLeft):
+        return DLeft(_adapt_out(v.value, td.left))
+    return DRight(_adapt_out(v.value, td.right))
 
 
 def _adapt_in(v: DynValue, td: TypeDesc) -> DynValue:
     """Shape a boundary value for language code (curry functions)."""
+    if _plain(td):
+        return v
     if isinstance(td, ArrowT):
-        doms, cod = td.doms, td.cod
+        doms, cod, n = td.doms, td.cod, len(td.doms)
+        plain, plain_cod = [*map(_plain, doms)], _plain(cod)
 
         def chain(collected):
-            if len(collected) == len(doms):
-                outward = [_adapt_out(a, d) for a, d in zip(collected, doms)]
-                return bind(v.fn(*outward), lambda r: ret(_adapt_in(r, cod)))
-            return ret(DClosure(lambda arg: chain(collected + [arg])))
+            if len(collected) < n:
+                return Ret(DClosure(lambda arg: chain(collected + [arg])))
+            m = v.fn(*(a if p else _adapt_out(a, d) for a, p, d in zip(collected, plain, doms)))
+            return m if plain_cod else Bind(m, lambda r: Ret(_adapt_in(r, cod)))
 
         return DClosure(lambda arg: chain([arg]))
     if isinstance(td, PairT):
         return DPair(_adapt_in(v.fst, td.fst), _adapt_in(v.snd, td.snd))
-    if isinstance(td, EitherT):
-        if isinstance(v, DLeft):
-            return DLeft(_adapt_in(v.value, td.left))
-        return DRight(_adapt_in(v.value, td.right))
-    return v
+    if isinstance(v, DLeft):
+        return DLeft(_adapt_in(v.value, td.left))
+    return DRight(_adapt_in(v.value, td.right))
 
 
 def translate(expr: CtxExpr, ctype: TypeDesc):
@@ -746,7 +800,7 @@ def translate(expr: CtxExpr, ctype: TypeDesc):
     def target_ctx(lib: SecureIoLib) -> DynValue:
         # A context is a value: it may not reach an operation call.
         try:
-            next(evaluate(code(_prim_closures(), lib)))
+            next(evaluate(code(None, lib)))
         except StopIteration as done:
             return _adapt_out(done.value, ctype)
         raise TranslateError("a context must be a value; effects belong inside its functions")
@@ -755,7 +809,11 @@ def translate(expr: CtxExpr, ctype: TypeDesc):
 
 
 def load(text: str, ctype: TypeDesc):
-    return translate(parse(text), ctype)
+    """`translate` of source text; a term too deep to parse, check or stage is a `ParseError`."""
+    try:
+        return translate(parse(text), ctype)
+    except RecursionError:
+        raise ParseError(0, "term nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,8 @@ def load_scenario(text: str) -> World:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ScenarioError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
     files = data.get("files", {})

@@ -117,6 +117,14 @@ def test_bad_scenario_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_deeply_nested_scenario_file(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code = main(["run", "--scenario", str(path), "--program", "webserver", "--context", "benign"])
+    assert code == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "fields",
     ['"requests": [{"client_id": null, "raw_request_bytes": ""}]', '"max_iterations": true'],
@@ -147,6 +155,17 @@ def test_context_source_file_ill_typed(scenario, tmp_path, capsys):
     )
     assert code == 2
     assert "context error" in capsys.readouterr().err
+
+
+def test_deeply_nested_context_source(scenario, tmp_path, capsys):
+    source = tmp_path / "h.ctx"
+    source.write_text("(" * 3000 + "()" + ")" * 3000)
+    code = main(
+        ["run", "--scenario", scenario, "--program", "webserver", "--context", f"file:{source}"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("context error: ") and "nested too deeply" in err
 
 
 def test_context_source_file_missing(scenario, tmp_path, capsys):

@@ -30,6 +30,7 @@ from seclink.contracts import (
     import_value,
 )
 from seclink.ctxdsl import (
+    PRIM_TYPES,
     App,
     BytesLit,
     Case,
@@ -53,9 +54,11 @@ from seclink.ctxdsl import (
     TypecheckError,
     UnitLit,
     Var,
+    _infer,
     _prim_closures,
     _stage,
     curried_view,
+    load,
     parse,
     pretty,
     translate,
@@ -158,7 +161,7 @@ def test_typecheck_branch_disagreement():
 
 # -- generated terms: round trips, rejection, translation totality --------------
 
-_NAMES = ("a", "b", "c", "f", "g")
+_NAMES = ("a", "b", "c", "f", "g", "h", "k", "m", "n", "p", "q", "x", "y", "z")
 
 
 def _types(depth):
@@ -173,8 +176,38 @@ def _types(depth):
     )
 
 
-def _terms_of(ty, env, depth):
-    """Strategy for closed terms of the given type under `env`."""
+def _io_result(ty):
+    return TEither(ty, TErr())
+
+
+# Effectful forms: each `io` result type with the operations that give it and
+# their argument types; the types effectful binders bind and cases split.
+_IO_FORMS = {
+    _io_result(TFd()): ((IoOp.OPENFILE, TBytes()), (IoOp.SOCKET, TUnit())),
+    _io_result(TBytes()): ((IoOp.READ, TFd()),),
+    _io_result(TUnit()): ((IoOp.WRITE, TPair(TFd(), TBytes())), (IoOp.CLOSE, TFd())),
+}
+_BOUND = (TInt(), TBytes(), _io_result(TFd()), _io_result(TBytes()))
+_SPLIT = (_io_result(TFd()), _io_result(TBytes()), TEither(TInt(), TBytes()))
+_PRIM_OF = {TArrow(TBytes(), TBytes()): ("request_path", "temp_path", "http_ok")}
+
+
+def _inhabited(ty, env) -> bool:
+    """Whether a term of `ty` exists under `env`: fd and err values only
+    come from variables (bound by cases over `io` results)."""
+    if isinstance(ty, (TFd, TErr)):
+        return ty in env.values()
+    if isinstance(ty, TPair):
+        return _inhabited(ty.fst, env) and _inhabited(ty.snd, env)
+    if isinstance(ty, TEither):
+        return _inhabited(ty.left, env) or _inhabited(ty.right, env)
+    return True
+
+
+def _terms_of(ty, env, depth, effects=False):
+    """Strategy for closed terms of the given (inhabited) type under `env`.
+    With `effects`, terms may also call `io`, apply functions, and bind,
+    split, pair, project or inject effectful parts; binders may shadow."""
     opts = []
     names = [n for n, t in env.items() if t == ty]
     if names:
@@ -182,25 +215,29 @@ def _terms_of(ty, env, depth):
     if isinstance(ty, TInt):
         opts.append(st.integers(-99, 99).map(IntLit))
     elif isinstance(ty, TBytes):
-        opts.append(st.binary(max_size=6).map(BytesLit))
+        paths = st.sampled_from([b"/a", b"/b"]) if effects else st.nothing()
+        opts.append(st.one_of(paths, st.binary(max_size=6)).map(BytesLit))
     elif isinstance(ty, TUnit):
         opts.append(st.just(UnitLit()))
     elif isinstance(ty, TPair):
         opts.append(
             st.tuples(
-                _terms_of(ty.fst, env, depth), _terms_of(ty.snd, env, depth)
+                _terms_of(ty.fst, env, depth, effects), _terms_of(ty.snd, env, depth, effects)
             ).map(lambda p: PairE(*p))
         )
     elif isinstance(ty, TEither):
-        opts.append(_terms_of(ty.left, env, depth).map(lambda e: Inject("inl", e)))
-        opts.append(_terms_of(ty.right, env, depth).map(lambda e: Inject("inr", e)))
+        for side, part in (("inl", ty.left), ("inr", ty.right)):
+            if _inhabited(part, env):
+                opts.append(_terms_of(part, env, depth, effects).map(lambda e, s=side: Inject(s, e)))
     elif isinstance(ty, TArrow):
         fresh = next(n for n in _NAMES if n not in env)
         opts.append(
-            _terms_of(ty.cod, {**env, fresh: ty.dom}, depth).map(
+            _terms_of(ty.cod, {**env, fresh: ty.dom}, depth, effects).map(
                 lambda body: Lam(fresh, ty.dom, body)
             )
         )
+        if effects and ty in _PRIM_OF:
+            opts.append(st.sampled_from(_PRIM_OF[ty]).map(Var))
     if depth > 0 and not isinstance(ty, TArrow):
         bindable = st.sampled_from([TInt(), TBytes()])
 
@@ -208,11 +245,60 @@ def _terms_of(ty, env, depth):
             fresh = next(n for n in _NAMES if n not in env)
             return st.tuples(
                 _terms_of(bound_ty, env, 0),
-                _terms_of(ty, {**env, fresh: bound_ty}, depth - 1),
+                _terms_of(ty, {**env, fresh: bound_ty}, depth - 1, effects),
             ).map(lambda p: Let(fresh, p[0], p[1]))
 
         opts.append(bindable.flatmap(with_let))
+    if effects:
+        opts += [
+            _terms_of(arg_ty, env, depth, True).map(lambda a, op=op: IoCall(op, a))
+            for op, arg_ty in _IO_FORMS.get(ty, ())
+            if _inhabited(arg_ty, env)
+        ]
+    if effects and depth > 0:
+        opts += _effectful(ty, env, depth - 1)
     return st.one_of(opts) if opts else st.just(UnitLit())
+
+
+def _effectful(ty, env, depth):
+    """The effectful forms of `_terms_of(ty, env, depth + 1, effects=True)`."""
+    sub = lambda t, e=env: _terms_of(t, e, depth, True)
+
+    def inferred(t):  # where the checker infers a type, annotate terms it cannot
+        def annotate(e):
+            try:
+                _infer(e, {**PRIM_TYPES, **env}, "term")
+                return e
+            except TypecheckError:
+                return App(Lam("x", t, Var("x")), e)
+
+        return sub(t).map(annotate)
+
+    # a binder is fresh or shadows a variable; fd and err ones stay visible
+    binders = st.sampled_from([n for n in _NAMES if env.get(n) not in (TFd(), TErr())][:4])
+
+    def let(bound_ty, var):
+        return st.tuples(inferred(bound_ty), sub(ty, {**env, var: bound_ty})).map(lambda p: Let(var, *p))
+
+    def app(dom):
+        return st.tuples(inferred(TArrow(dom, ty)), sub(dom)).map(lambda p: App(*p))
+
+    def case(split, lv, rv):
+        left, right = sub(ty, {**env, lv: split.left}), sub(ty, {**env, rv: split.right})
+        return st.tuples(inferred(split), left, right).map(lambda p: Case(p[0], lv, p[1], rv, p[2]))
+
+    def proj(other):
+        return st.one_of(
+            inferred(TPair(ty, other)).map(lambda e: Proj("fst", e)),
+            inferred(TPair(other, ty)).map(lambda e: Proj("snd", e)),
+        )
+
+    return [
+        st.tuples(st.sampled_from(_BOUND), binders).flatmap(lambda p: let(*p)),
+        st.sampled_from(_BOUND).flatmap(app),
+        st.tuples(st.sampled_from(_SPLIT), binders, binders).flatmap(lambda p: case(*p)),
+        st.sampled_from([TInt(), TBytes()]).flatmap(proj),
+    ]
 
 
 typed_terms = _types(1).flatmap(lambda ty: st.tuples(st.just(ty), _terms_of(ty, {}, 1)))
@@ -343,10 +429,42 @@ def _same(ty, a, b) -> bool:
 @settings(max_examples=200, deadline=None)
 def test_staged_value_equals_reference(pair):
     ty, term = pair
-    env = _prim_closures()
-    pure, code = _stage(term)
-    assert pure  # these terms have no `io` and no application
-    assert _same(ty, code(env, None), _value_of(oracles._eval(term, env, None)))
+    pure, code, post = _stage(term)
+    assert pure and not post  # these terms have no `io` and no application
+    assert _same(ty, code(None, None), _value_of(oracles._eval(term, _prim_closures(), None)))
+
+
+_DATA_TYPES = (
+    TInt(),
+    TBytes(),
+    *_IO_FORMS,
+    TPair(_io_result(TBytes()), TInt()),
+    TEither(TInt(), TBytes()),
+)
+effectful_terms = st.sampled_from(_DATA_TYPES).flatmap(
+    lambda ty: st.tuples(st.just(ty), _terms_of(ty, {"u": TUnit()}, 2, effects=True))
+)
+_DESCS = {TInt: IntT, TBytes: BytesT, TUnit: UnitT, TFd: FdT, TErr: ErrT, TPair: PairT, TEither: EitherT}
+
+
+def _desc(ty):
+    """The boundary type descriptor of an arrow-free language type."""
+    return _DESCS[type(ty)](*(_desc(getattr(ty, f)) for f in ty.__dataclass_fields__))
+
+
+@given(effectful_terms)
+@settings(max_examples=150, deadline=None)
+def test_staged_effects_equal_reference(pair):
+    ty, body = pair
+    term, ctype = Lam("u", TUnit(), body), ArrowT((UnitT(),), _desc(ty))
+    lib = enforce_policy(lambda s, op, arg: True, stateless_mstate())
+    world = make_world(files={"/a": b"A", "/b": b"BB"})
+
+    def run(translator):
+        done = interpret(translator(term, ctype)(lib).fn(DUnit()), world, lib.desc)
+        return done.local, done.result
+
+    assert run(translate) == run(oracles.reference_translate)
 
 
 def _webserver_run(bundle, factory, world):
@@ -443,6 +561,26 @@ def test_effect_order_matches_reference(name):
     assert (local, result) == want
 
 
+def test_trees_stay_reinterpretable():
+    # one built tree run on two worlds: each run returns a closure over the
+    # bytes it read, which the other run must not overwrite
+    source = (
+        '\\u:unit. case io Openfile "/a" of inl f => (case io Read f of '
+        "inl d => inl (\\x:unit. d) | inr e => inr e) | inr e => inr e"
+    )
+    ctype = UNIT_TO(EitherT(UNIT_TO(BytesT()), ErrT()))
+    lib = enforce_policy(lambda s, op, arg: True, stateless_mstate())
+    fn = translate(parse(source), ctype)(lib)
+    comp = fn.fn(DUnit())
+    worlds = [make_world(files={"/a": b"first"}), make_world(files={"/a": b"second"})]
+    runs = [interpret(comp, world, lib.desc) for world in worlds]
+    read = lambda run: _value_of(run.result.value.fn(DUnit()))
+    for run, world in zip(runs, worlds):
+        fresh = interpret(fn.fn(DUnit()), world, lib.desc)
+        assert run.local == fresh.local and read(run) == read(fresh)
+    assert [read(run) for run in runs] == [DBytes(b"first"), DBytes(b"second")]
+
+
 def test_deep_pure_terms_run_as_deep_as_they_parse():
     # a pure `let` body or `case` branch runs in the frame of its binder, so
     # staged code nests no deeper than the parser and type checker do
@@ -453,3 +591,18 @@ def test_deep_pure_terms_run_as_deep_as_they_parse():
     cases = "\\e:either int int. " + "case e of inl x => " * n + "x" + " | inr y => y" * n
     fn = translate(parse(cases), ArrowT((EitherT(IntT(), IntT()),), IntT()))(None)
     assert _value_of(fn.fn(DLeft(DInt(4)))) == DInt(4)
+    # `load` turns running out of stack while parsing, checking or staging
+    # into a ParseError, and the deepest chain it accepts still runs
+    chain = lambda n: "\\u:unit. " + "".join(f"let a{i} = {i} in " for i in range(n)) + f"a{n - 1}"
+    td, accepted, rejected = ArrowT((UnitT(),), IntT()), n, 4 * sys.getrecursionlimit()
+    with pytest.raises(ParseError, match="nested too deeply"):
+        load(chain(rejected), td)
+    while rejected - accepted > 1:
+        mid = (accepted + rejected) // 2
+        try:
+            load(chain(mid), td)
+            accepted = mid
+        except ParseError:
+            rejected = mid
+    fn = load(chain(accepted), td)(None)
+    assert interpret(fn.fn(DUnit()), make_world(), stateless_mstate()).result == DInt(accepted - 1)

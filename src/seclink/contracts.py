@@ -29,7 +29,7 @@ is reported in-band as a contract failure and execution can recover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
@@ -117,11 +117,14 @@ class ArrowSpec:
     post: Callable[[tuple, tuple, Any, tuple], bool] | None = None  # (args, h, r, lt)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ArrowT(TypeDesc):
+    """A function type.  Equality and hashing are structural: the spec is a
+    declaration about the arrow, not part of its type."""
+
     doms: tuple[TypeDesc, ...]
     cod: TypeDesc
-    spec: ArrowSpec | None = None
+    spec: ArrowSpec | None = field(default=None, compare=False)
 
 
 def strip_specs(td: TypeDesc) -> TypeDesc:

@@ -7,8 +7,9 @@ helpers, and one effect form `io OP e` that routes through the secure IO
 library supplied at link time.  There is no recursion, so every typed term
 terminates.
 
-`parse` builds the AST, `typecheck` verifies it against the boundary type
-it must inhabit, and `translate` stages the term once, compiling it to
+Its types are the boundary's spec-free `contracts.TypeDesc`s with unary
+arrows.  `parse` builds the AST, `typecheck` verifies it against the boundary
+type it must inhabit, and `translate` stages the term once, compiling it to
 closures, and produces a target context whose runtime behaviour matches a
 hand-written one event for event.  Staging resolves each variable to its
 index in an immutable cons-list environment and fuses the pure steps that
@@ -64,112 +65,49 @@ from .monitor import SecureIoLib
 # ---------------------------------------------------------------------------
 
 
-class CtxType:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class TUnit(CtxType):
-    def __str__(self):
-        return "unit"
-
-
-@dataclass(frozen=True)
-class TInt(CtxType):
-    def __str__(self):
-        return "int"
-
-
-@dataclass(frozen=True)
-class TBytes(CtxType):
-    def __str__(self):
-        return "bytes"
-
-
-@dataclass(frozen=True)
-class TFd(CtxType):
-    def __str__(self):
-        return "fd"
-
-
-@dataclass(frozen=True)
-class TErr(CtxType):
-    def __str__(self):
-        return "err"
-
-
-@dataclass(frozen=True)
-class TPair(CtxType):
-    fst: CtxType
-    snd: CtxType
-
-    def __str__(self):
-        return f"{_atomstr(self.fst)} * {_atomstr(self.snd)}"
-
-
-@dataclass(frozen=True)
-class TEither(CtxType):
-    left: CtxType
-    right: CtxType
-
-    def __str__(self):
-        return f"either {_atomstr(self.left)} {_atomstr(self.right)}"
-
-
-@dataclass(frozen=True)
-class TArrow(CtxType):
-    dom: CtxType
-    cod: CtxType
-
-    def __str__(self):
-        dom = f"({self.dom})" if isinstance(self.dom, TArrow) else _atomstr(self.dom)
-        return f"{dom} -> {self.cod}"
-
-
-def _atomstr(t: CtxType) -> str:
-    return f"({t})" if isinstance(t, (TPair, TEither, TArrow)) else str(t)
-
-
-def curried_view(td: TypeDesc) -> CtxType:
+def curried_view(td: TypeDesc) -> TypeDesc:
     """The boundary type as this language sees it: multi-argument
-    functions become chains of unary ones."""
-    if isinstance(td, UnitT):
-        return TUnit()
-    if isinstance(td, IntT):
-        return TInt()
-    if isinstance(td, BytesT):
-        return TBytes()
-    if isinstance(td, FdT):
-        return TFd()
-    if isinstance(td, ErrT):
-        return TErr()
-    if isinstance(td, PairT):
-        return TPair(curried_view(td.fst), curried_view(td.snd))
-    if isinstance(td, EitherT):
-        return TEither(curried_view(td.left), curried_view(td.right))
+    functions become chains of unary ones, and specs are dropped."""
     if isinstance(td, ArrowT):
         out = curried_view(td.cod)
         for dom in reversed(td.doms):
-            out = TArrow(curried_view(dom), out)
+            out = ArrowT((curried_view(dom),), out)
         return out
-    raise TypeError(f"unknown type descriptor {td!r}")
+    if isinstance(td, (PairT, EitherT)):
+        return type(td)(*map(curried_view, components(td)))
+    return td
+
+
+def tystr(td: TypeDesc) -> str:
+    """A type in the language's syntax; an n-ary arrow prints as its curried view."""
+    if isinstance(td, ArrowT):
+        return " -> ".join([*map(_atomstr, td.doms), tystr(td.cod)])
+    if isinstance(td, PairT):
+        return f"{_atomstr(td.fst)} * {_atomstr(td.snd)}"
+    if isinstance(td, EitherT):
+        return f"either {_atomstr(td.left)} {_atomstr(td.right)}"
+    return _NAME_OF_TYPE[td]
+
+
+def _atomstr(td: TypeDesc) -> str:
+    return f"({tystr(td)})" if isinstance(td, (PairT, EitherT, ArrowT)) else tystr(td)
 
 
 # Per-op argument and success-result types; results come wrapped in
 # `either _ err`.
-IO_SIG: dict[IoOp, tuple[CtxType, CtxType]] = {
-    IoOp.OPENFILE: (TBytes(), TFd()),
-    IoOp.READ: (TFd(), TBytes()),
-    IoOp.WRITE: (TPair(TFd(), TBytes()), TUnit()),
-    IoOp.CLOSE: (TFd(), TUnit()),
-    IoOp.SOCKET: (TUnit(), TFd()),
+IO_SIG: dict[IoOp, tuple[TypeDesc, TypeDesc]] = {
+    IoOp.OPENFILE: (BytesT(), FdT()),
+    IoOp.READ: (FdT(), BytesT()),
+    IoOp.WRITE: (PairT(FdT(), BytesT()), UnitT()),
+    IoOp.CLOSE: (FdT(), UnitT()),
+    IoOp.SOCKET: (UnitT(), FdT()),
 }
 
-PRIM_TYPES: dict[str, CtxType] = {
-    "concat": TArrow(TBytes(), TArrow(TBytes(), TBytes())),
-    "request_path": TArrow(TBytes(), TBytes()),
-    "temp_path": TArrow(TBytes(), TBytes()),
-    "http_ok": TArrow(TBytes(), TBytes()),
+PRIM_TYPES: dict[str, TypeDesc] = {
+    "concat": ArrowT((BytesT(),), ArrowT((BytesT(),), BytesT())),
+    "request_path": ArrowT((BytesT(),), BytesT()),
+    "temp_path": ArrowT((BytesT(),), BytesT()),
+    "http_ok": ArrowT((BytesT(),), BytesT()),
 }
 
 # ---------------------------------------------------------------------------
@@ -189,7 +127,7 @@ class Var(CtxExpr):
 @dataclass(frozen=True)
 class Lam(CtxExpr):
     var: str
-    ty: CtxType
+    ty: TypeDesc
     body: CtxExpr
 
 
@@ -276,7 +214,8 @@ _TOKEN_RE = re.compile(
 )
 
 _KEYWORDS = {"let", "in", "case", "of", "inl", "inr", "io", "fst", "snd"}
-_TYPE_NAMES = {"unit": TUnit, "int": TInt, "bytes": TBytes, "fd": TFd, "err": TErr}
+_TYPE_NAMES = {"unit": UnitT(), "int": IntT(), "bytes": BytesT(), "fd": FdT(), "err": ErrT()}
+_NAME_OF_TYPE = {t: name for name, t in _TYPE_NAMES.items()}
 _ESCAPES = {"n": b"\n", "r": b"\r", "t": b"\t", '"': b'"', "\\": b"\\"}
 
 
@@ -349,21 +288,21 @@ class _Parser:
 
     # -- types --------------------------------------------------------
 
-    def type_(self) -> CtxType:
+    def type_(self) -> TypeDesc:
         left = self.type_prod()
         if self.at_sym("->"):
             self.next()
-            return TArrow(left, self.type_())
+            return ArrowT((left,), self.type_())
         return left
 
-    def type_prod(self) -> CtxType:
+    def type_prod(self) -> TypeDesc:
         left = self.type_atom()
         while self.at_sym("*"):
             self.next()
-            left = TPair(left, self.type_atom())
+            left = PairT(left, self.type_atom())
         return left
 
-    def type_atom(self) -> CtxType:
+    def type_atom(self) -> TypeDesc:
         tok = self.peek()
         if tok.kind == "sym" and tok.text == "(":
             self.next()
@@ -373,9 +312,9 @@ class _Parser:
         if tok.kind == "ident":
             self.next()
             if tok.text in _TYPE_NAMES:
-                return _TYPE_NAMES[tok.text]()
+                return _TYPE_NAMES[tok.text]
             if tok.text == "either":
-                return TEither(self.type_atom(), self.type_atom())
+                return EitherT(self.type_atom(), self.type_atom())
         raise ParseError(tok.pos, f"expected a type, found {tok.text!r}")
 
     # -- expressions --------------------------------------------------
@@ -495,37 +434,38 @@ def parse(text: str) -> CtxExpr:
 # ---------------------------------------------------------------------------
 
 
-def typecheck(expr: CtxExpr, expected: CtxType) -> None:
-    """Check a closed term against the type it must inhabit."""
-    _check(expr, expected, dict(PRIM_TYPES), "term")
+def typecheck(expr: CtxExpr, expected: TypeDesc) -> None:
+    """Check a closed term against the type it must inhabit, as this
+    language sees it (`curried_view`)."""
+    _check(expr, curried_view(expected), dict(PRIM_TYPES), "term")
 
 
 def _fail(path: str, message: str):
     raise TypecheckError(f"{path}: {message}")
 
 
-def _check(expr: CtxExpr, expected: CtxType, env: dict, path: str) -> None:
+def _check(expr: CtxExpr, expected: TypeDesc, env: dict, path: str) -> None:
     if isinstance(expr, Lam):
-        if not isinstance(expected, TArrow):
-            _fail(path, f"function found where {expected} expected")
-        if expr.ty != expected.dom:
-            _fail(path, f"argument annotated {expr.ty}, needs {expected.dom}")
+        if not isinstance(expected, ArrowT):
+            _fail(path, f"function found where {tystr(expected)} expected")
+        if expr.ty != expected.doms[0]:
+            _fail(path, f"argument annotated {tystr(expr.ty)}, needs {tystr(expected.doms[0])}")
         _check(expr.body, expected.cod, {**env, expr.var: expr.ty}, path + ".body")
         return
     if isinstance(expr, Inject):
-        if not isinstance(expected, TEither):
-            _fail(path, f"sum injection found where {expected} expected")
+        if not isinstance(expected, EitherT):
+            _fail(path, f"sum injection found where {tystr(expected)} expected")
         side = expected.left if expr.side == "inl" else expected.right
         _check(expr.expr, side, env, path + "." + expr.side)
         return
-    if isinstance(expr, PairE) and isinstance(expected, TPair):
+    if isinstance(expr, PairE) and isinstance(expected, PairT):
         _check(expr.fst, expected.fst, env, path + ".fst")
         _check(expr.snd, expected.snd, env, path + ".snd")
         return
     if isinstance(expr, Case):
         scrutinee = _infer(expr.scrutinee, env, path + ".scrutinee")
-        if not isinstance(scrutinee, TEither):
-            _fail(path, f"case scrutinee has type {scrutinee}, not a sum")
+        if not isinstance(scrutinee, EitherT):
+            _fail(path, f"case scrutinee has type {tystr(scrutinee)}, not a sum")
         _check(expr.left_body, expected, {**env, expr.left_var: scrutinee.left}, path + ".inl")
         _check(expr.right_body, expected, {**env, expr.right_var: scrutinee.right}, path + ".inr")
         return
@@ -535,51 +475,51 @@ def _check(expr: CtxExpr, expected: CtxType, env: dict, path: str) -> None:
         return
     actual = _infer(expr, env, path)
     if actual != expected:
-        _fail(path, f"has type {actual}, needs {expected}")
+        _fail(path, f"has type {tystr(actual)}, needs {tystr(expected)}")
 
 
-def _infer(expr: CtxExpr, env: dict, path: str) -> CtxType:
+def _infer(expr: CtxExpr, env: dict, path: str) -> TypeDesc:
     if isinstance(expr, Var):
         if expr.name not in env:
             _fail(path, f"unbound variable {expr.name!r}")
         return env[expr.name]
     if isinstance(expr, IntLit):
-        return TInt()
+        return IntT()
     if isinstance(expr, BytesLit):
-        return TBytes()
+        return BytesT()
     if isinstance(expr, UnitLit):
-        return TUnit()
+        return UnitT()
     if isinstance(expr, Lam):
         body = _infer(expr.body, {**env, expr.var: expr.ty}, path + ".body")
-        return TArrow(expr.ty, body)
+        return ArrowT((expr.ty,), body)
     if isinstance(expr, App):
         fn = _infer(expr.fn, env, path + ".fn")
-        if not isinstance(fn, TArrow):
-            _fail(path, f"applied expression has type {fn}, not a function")
-        _check(expr.arg, fn.dom, env, path + ".arg")
+        if not isinstance(fn, ArrowT):
+            _fail(path, f"applied expression has type {tystr(fn)}, not a function")
+        _check(expr.arg, fn.doms[0], env, path + ".arg")
         return fn.cod
     if isinstance(expr, PairE):
-        return TPair(_infer(expr.fst, env, path + ".fst"), _infer(expr.snd, env, path + ".snd"))
+        return PairT(_infer(expr.fst, env, path + ".fst"), _infer(expr.snd, env, path + ".snd"))
     if isinstance(expr, Proj):
         pair = _infer(expr.expr, env, path + "." + expr.side)
-        if not isinstance(pair, TPair):
-            _fail(path, f"projection from type {pair}, not a pair")
+        if not isinstance(pair, PairT):
+            _fail(path, f"projection from type {tystr(pair)}, not a pair")
         return pair.fst if expr.side == "fst" else pair.snd
     if isinstance(expr, IoCall):
         arg_t, res_t = IO_SIG[expr.op]
         _check(expr.arg, arg_t, env, path + ".arg")
-        return TEither(res_t, TErr())
+        return EitherT(res_t, ErrT())
     if isinstance(expr, Let):
         bound = _infer(expr.bound, env, path + ".bound")
         return _infer(expr.body, {**env, expr.var: bound}, path + ".body")
     if isinstance(expr, Case):
         scrutinee = _infer(expr.scrutinee, env, path + ".scrutinee")
-        if not isinstance(scrutinee, TEither):
-            _fail(path, f"case scrutinee has type {scrutinee}, not a sum")
+        if not isinstance(scrutinee, EitherT):
+            _fail(path, f"case scrutinee has type {tystr(scrutinee)}, not a sum")
         left = _infer(expr.left_body, {**env, expr.left_var: scrutinee.left}, path + ".inl")
         right = _infer(expr.right_body, {**env, expr.right_var: scrutinee.right}, path + ".inr")
         if left != right:
-            _fail(path, f"branches disagree: {left} vs {right}")
+            _fail(path, f"branches disagree: {tystr(left)} vs {tystr(right)}")
         return left
     if isinstance(expr, Inject):
         _fail(path, "cannot infer the type of a bare sum injection; add context")
@@ -794,7 +734,7 @@ def _adapt_in(v: DynValue, td: TypeDesc) -> DynValue:
 def translate(expr: CtxExpr, ctype: TypeDesc):
     """Typed source text to target context.  Total on typed terms.  The term
     is staged once, here; each link only runs the staged code."""
-    typecheck(expr, curried_view(ctype))
+    typecheck(expr, ctype)
     code = _comp(_stage(expr))
 
     def target_ctx(lib: SecureIoLib) -> DynValue:
@@ -828,7 +768,7 @@ def pretty(expr: CtxExpr) -> str:
 def _pp(expr: CtxExpr, level: int) -> str:
     # level 0: any form; 1: application operands; 2: atoms only
     if isinstance(expr, Lam):
-        return _wrap(f"\\{expr.var}:{expr.ty}. {_pp(expr.body, 0)}", level > 0)
+        return _wrap(f"\\{expr.var}:{tystr(expr.ty)}. {_pp(expr.body, 0)}", level > 0)
     if isinstance(expr, Let):
         return _wrap(f"let {expr.var} = {_pp(expr.bound, 0)} in {_pp(expr.body, 0)}", level > 0)
     if isinstance(expr, Case):

@@ -59,19 +59,18 @@ def every_request_gets_a_response(lt: Iterable[Event]) -> bool:
     written to.
 
     A request is a successful trusted-side read; a response is any write to
-    the same descriptor.  Reads accumulate their descriptor, any write
-    discharges all pending occurrences of its descriptor, and the
-    accumulator must be empty at the end.  Failed reads and untrusted-side
-    reads (a plugin paging through its own files) carry no obligation.
+    the same descriptor.  A read makes its descriptor pending, a write
+    discharges every pending read of its descriptor, and nothing may be
+    pending at the end.  Failed reads and untrusted-side reads (a plugin
+    paging through its own files) carry no obligation.
     """
-    read_fds: list[int] = []
+    pending: set[int] = set()
     for e in lt:
         if e.op is IoOp.READ and e.caller is Caller.PROG and is_ok(e.result):
-            read_fds.append(e.arg)
+            pending.add(e.arg)
         elif e.op is IoOp.WRITE:
-            fd = e.arg[0]
-            read_fds = [x for x in read_fds if x != fd]
-    return not read_fds
+            pending.discard(e.arg[0])
+    return not pending
 
 
 def beh(comp, worlds_sample, desc, *, check: bool = True) -> frozenset:

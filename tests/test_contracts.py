@@ -39,7 +39,9 @@ from seclink.contracts import (
     shape_matches,
     strip_specs,
 )
-from seclink.demos import webserver
+from seclink.ctxdsl import TypecheckError, parse, typecheck
+from seclink.demos import BUNDLES, webserver
+from seclink.demos.dsl_handlers import DSL_HANDLER_SOURCES
 from seclink.effects import Caller, Err, ErrCode, IoOp, Ok, call_io, contract_failure, do, is_err, ret
 from seclink.interp import interpret
 from seclink.monitor import webserver_mstate
@@ -94,6 +96,29 @@ def test_strip_specs_removes_all():
     stripped = strip_specs(webserver.HANDLER_TYPE)
     assert stripped.spec is None
     assert stripped.doms[2].spec is None
+
+
+def test_arrow_equality_ignores_the_spec():
+    td = ArrowT((IntT(),), EitherT(IntT(), ErrT()))
+    specced = ArrowT(td.doms, td.cod, ArrowSpec("f", CheckKind.PRE))
+    assert specced == td and hash(specced) == hash(td)
+    assert {td: 1}[specced] == 1
+    assert ArrowT((IntT(), IntT()), td.cod) != td
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_strip_specs_keeps_the_type(name):
+    ctype = BUNDLES[name]().interface.ctype
+    assert strip_specs(ctype) == ctype
+
+
+def test_typecheck_takes_an_n_ary_boundary_type():
+    for source in DSL_HANDLER_SOURCES.values():
+        typecheck(parse(source), webserver.HANDLER_TYPE)
+    # the checker reads every argument of the arrow, not only the first
+    with pytest.raises(TypecheckError) as exc:
+        typecheck(parse("\\c:fd. 3"), webserver.HANDLER_TYPE)
+    assert str(exc.value) == "term.body: has type int, needs bytes -> (bytes -> either unit err) -> either unit err"
 
 
 def test_shape_rules():

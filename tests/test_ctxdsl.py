@@ -43,14 +43,6 @@ from seclink.ctxdsl import (
     PairE,
     ParseError,
     Proj,
-    TArrow,
-    TBytes,
-    TEither,
-    TErr,
-    TFd,
-    TInt,
-    TPair,
-    TUnit,
     TypecheckError,
     UnitLit,
     Var,
@@ -73,7 +65,7 @@ from seclink.monitor import enforce_policy, stateless_mstate
 from seclink.worlds import make_world
 
 HANDLER_T = curried_view(webserver.HANDLER_TYPE)
-SEND_T = TArrow(TBytes(), TEither(TUnit(), TErr()))
+SEND_T = ArrowT((BytesT(),), EitherT(UnitT(), ErrT()))
 
 
 # -- parsing -------------------------------------------------------------------
@@ -83,18 +75,18 @@ def test_parse_handler_shape():
     expr = parse('\\c:fd. \\r:bytes. \\s:(bytes -> either unit err). inl ()')
     assert expr == Lam(
         "c",
-        TFd(),
-        Lam("r", TBytes(), Lam("s", SEND_T, Inject("inl", UnitLit()))),
+        FdT(),
+        Lam("r", BytesT(), Lam("s", SEND_T, Inject("inl", UnitLit()))),
     )
 
 
 def test_parse_io_call():
     expr = parse("\\u:unit. io Socket ()")
-    assert expr == Lam("u", TUnit(), IoCall(IoOp.SOCKET, UnitLit()))
+    assert expr == Lam("u", UnitT(), IoCall(IoOp.SOCKET, UnitLit()))
 
 
 def test_parse_application():
-    assert parse("(\\x:int. x) 3") == App(Lam("x", TInt(), Var("x")), IntLit(3))
+    assert parse("(\\x:int. x) 3") == App(Lam("x", IntT(), Var("x")), IntLit(3))
 
 
 def test_parse_case_pairs_lets():
@@ -138,25 +130,108 @@ def test_handler_sources_typecheck():
 
 def test_typecheck_rejects_wrong_io_arg():
     with pytest.raises(TypecheckError):
-        typecheck(parse("\\x:int. io Write x"), TArrow(TInt(), TEither(TUnit(), TErr())))
+        typecheck(parse("\\x:int. io Write x"), ArrowT((IntT(),), EitherT(UnitT(), ErrT())))
 
 
 def test_typecheck_rejects_unbound():
     with pytest.raises(TypecheckError) as exc:
-        typecheck(parse("nope"), TInt())
+        typecheck(parse("nope"), IntT())
     assert "unbound" in str(exc.value)
 
 
 def test_typecheck_rejects_bad_annotation():
     with pytest.raises(TypecheckError):
-        typecheck(parse("\\x:int. x"), TArrow(TBytes(), TBytes()))
+        typecheck(parse("\\x:int. x"), ArrowT((BytesT(),), BytesT()))
 
 
 def test_typecheck_branch_disagreement():
     src = "\\e:either int bytes. case e of inl x => inl x | inr y => inr y"
-    typecheck(parse(src), TArrow(TEither(TInt(), TBytes()), TEither(TInt(), TBytes())))
+    typecheck(parse(src), ArrowT((EitherT(IntT(), BytesT()),), EitherT(IntT(), BytesT())))
     with pytest.raises(TypecheckError):
-        typecheck(parse(src), TArrow(TEither(TInt(), TBytes()), TEither(TBytes(), TInt())))
+        typecheck(parse(src), ArrowT((EitherT(IntT(), BytesT()),), EitherT(BytesT(), IntT())))
+
+
+def _annotation(text):
+    """The type written `text` in the language, read from a lambda's annotation."""
+    return parse(f"\\x:{text}. x").ty
+
+
+# One term per type-error form, with the expected type it is checked against
+# and the exact message; the types nest pairs, sums and arrows on both sides.
+TYPE_ERRORS = {
+    "unbound": (
+        "\\f:int -> int. nope",
+        "(int -> int) -> int",
+        "term.body: unbound variable 'nope'",
+    ),
+    "function-found": (
+        "\\x:int. x",
+        "either (int * bytes) err",
+        "term: function found where either (int * bytes) err expected",
+    ),
+    "annotation": (
+        "\\g:(int -> int) -> either (int * bytes) err. g",
+        "((int -> int) -> either (bytes * int) err) -> unit",
+        "term: argument annotated (int -> int) -> either (int * bytes) err,"
+        " needs (int -> int) -> either (bytes * int) err",
+    ),
+    "injection-found": (
+        "inl 3",
+        "(int -> int) -> int * bytes",
+        "term: sum injection found where (int -> int) -> int * bytes expected",
+    ),
+    "scrutinee-checked": (
+        "\\p:int * (bytes -> int). case p of inl x => x | inr y => y",
+        "int * (bytes -> int) -> int",
+        "term.body: case scrutinee has type int * (bytes -> int), not a sum",
+    ),
+    "scrutinee-inferred": (
+        "\\p:(int * bytes) * fd. let z = case p of inl x => x | inr y => y in 3",
+        "(int * bytes) * fd -> int",
+        "term.body.bound: case scrutinee has type (int * bytes) * fd, not a sum",
+    ),
+    "mismatch": (
+        "\\f:int -> either (int * bytes) err. f",
+        "(int -> either (int * bytes) err) -> int -> either (bytes * int) err",
+        "term.body: has type int -> either (int * bytes) err, needs int -> either (bytes * int) err",
+    ),
+    "not-a-function": (
+        "\\p:(int -> int) * bytes. p 3",
+        "(int -> int) * bytes -> int",
+        "term.body: applied expression has type (int -> int) * bytes, not a function",
+    ),
+    "not-a-pair": (
+        "\\e:either (int * bytes) err. fst e",
+        "either (int * bytes) err -> int",
+        "term.body: projection from type either (int * bytes) err, not a pair",
+    ),
+    "branches": (
+        "\\e:either (int -> int) ((int -> int) -> bytes). let r = case e of inl f => f | inr g => g in ()",
+        "either (int -> int) ((int -> int) -> bytes) -> unit",
+        "term.body.bound: branches disagree: int -> int vs (int -> int) -> bytes",
+    ),
+    "bare-injection": (
+        "\\u:unit. let z = inl 3 in u",
+        "unit -> unit",
+        "term.body.bound: cannot infer the type of a bare sum injection; add context",
+    ),
+}
+
+
+@pytest.mark.parametrize("form", sorted(TYPE_ERRORS))
+def test_type_error_texts_are_pinned(form):
+    source, expected, message = TYPE_ERRORS[form]
+    with pytest.raises(TypecheckError) as exc:
+        typecheck(parse(source), _annotation(expected))
+    assert str(exc.value) == message
+
+
+def test_pretty_prints_nested_annotations():
+    source = (
+        "\\f:(int -> int) -> either (int * bytes) err. \\p:(int * bytes) * (fd -> err)."
+        " \\s:either (either int unit) (bytes -> int * int). f"
+    )
+    assert pretty(parse(source)) == source
 
 
 # -- generated terms: round trips, rejection, translation totality --------------
@@ -166,40 +241,40 @@ _NAMES = ("a", "b", "c", "f", "g", "h", "k", "m", "n", "p", "q", "x", "y", "z")
 
 def _types(depth):
     if depth == 0:
-        return st.sampled_from([TInt(), TBytes(), TUnit()])
+        return st.sampled_from([IntT(), BytesT(), UnitT()])
     sub = _types(depth - 1)
     return st.one_of(
         sub,
-        st.tuples(sub, sub).map(lambda p: TPair(*p)),
-        st.tuples(sub, sub).map(lambda p: TEither(*p)),
-        st.tuples(sub, sub).map(lambda p: TArrow(*p)),
+        st.tuples(sub, sub).map(lambda p: PairT(*p)),
+        st.tuples(sub, sub).map(lambda p: EitherT(*p)),
+        st.tuples(sub, sub).map(lambda p: ArrowT((p[0],), p[1])),
     )
 
 
 def _io_result(ty):
-    return TEither(ty, TErr())
+    return EitherT(ty, ErrT())
 
 
 # Effectful forms: each `io` result type with the operations that give it and
 # their argument types; the types effectful binders bind and cases split.
 _IO_FORMS = {
-    _io_result(TFd()): ((IoOp.OPENFILE, TBytes()), (IoOp.SOCKET, TUnit())),
-    _io_result(TBytes()): ((IoOp.READ, TFd()),),
-    _io_result(TUnit()): ((IoOp.WRITE, TPair(TFd(), TBytes())), (IoOp.CLOSE, TFd())),
+    _io_result(FdT()): ((IoOp.OPENFILE, BytesT()), (IoOp.SOCKET, UnitT())),
+    _io_result(BytesT()): ((IoOp.READ, FdT()),),
+    _io_result(UnitT()): ((IoOp.WRITE, PairT(FdT(), BytesT())), (IoOp.CLOSE, FdT())),
 }
-_BOUND = (TInt(), TBytes(), _io_result(TFd()), _io_result(TBytes()))
-_SPLIT = (_io_result(TFd()), _io_result(TBytes()), TEither(TInt(), TBytes()))
-_PRIM_OF = {TArrow(TBytes(), TBytes()): ("request_path", "temp_path", "http_ok")}
+_BOUND = (IntT(), BytesT(), _io_result(FdT()), _io_result(BytesT()))
+_SPLIT = (_io_result(FdT()), _io_result(BytesT()), EitherT(IntT(), BytesT()))
+_PRIM_OF = {ArrowT((BytesT(),), BytesT()): ("request_path", "temp_path", "http_ok")}
 
 
 def _inhabited(ty, env) -> bool:
     """Whether a term of `ty` exists under `env`: fd and err values only
     come from variables (bound by cases over `io` results)."""
-    if isinstance(ty, (TFd, TErr)):
+    if isinstance(ty, (FdT, ErrT)):
         return ty in env.values()
-    if isinstance(ty, TPair):
+    if isinstance(ty, PairT):
         return _inhabited(ty.fst, env) and _inhabited(ty.snd, env)
-    if isinstance(ty, TEither):
+    if isinstance(ty, EitherT):
         return _inhabited(ty.left, env) or _inhabited(ty.right, env)
     return True
 
@@ -212,34 +287,34 @@ def _terms_of(ty, env, depth, effects=False):
     names = [n for n, t in env.items() if t == ty]
     if names:
         opts.append(st.sampled_from(names).map(Var))
-    if isinstance(ty, TInt):
+    if isinstance(ty, IntT):
         opts.append(st.integers(-99, 99).map(IntLit))
-    elif isinstance(ty, TBytes):
+    elif isinstance(ty, BytesT):
         paths = st.sampled_from([b"/a", b"/b"]) if effects else st.nothing()
         opts.append(st.one_of(paths, st.binary(max_size=6)).map(BytesLit))
-    elif isinstance(ty, TUnit):
+    elif isinstance(ty, UnitT):
         opts.append(st.just(UnitLit()))
-    elif isinstance(ty, TPair):
+    elif isinstance(ty, PairT):
         opts.append(
             st.tuples(
                 _terms_of(ty.fst, env, depth, effects), _terms_of(ty.snd, env, depth, effects)
             ).map(lambda p: PairE(*p))
         )
-    elif isinstance(ty, TEither):
+    elif isinstance(ty, EitherT):
         for side, part in (("inl", ty.left), ("inr", ty.right)):
             if _inhabited(part, env):
                 opts.append(_terms_of(part, env, depth, effects).map(lambda e, s=side: Inject(s, e)))
-    elif isinstance(ty, TArrow):
+    elif isinstance(ty, ArrowT):
         fresh = next(n for n in _NAMES if n not in env)
         opts.append(
-            _terms_of(ty.cod, {**env, fresh: ty.dom}, depth, effects).map(
-                lambda body: Lam(fresh, ty.dom, body)
+            _terms_of(ty.cod, {**env, fresh: ty.doms[0]}, depth, effects).map(
+                lambda body: Lam(fresh, ty.doms[0], body)
             )
         )
         if effects and ty in _PRIM_OF:
             opts.append(st.sampled_from(_PRIM_OF[ty]).map(Var))
-    if depth > 0 and not isinstance(ty, TArrow):
-        bindable = st.sampled_from([TInt(), TBytes()])
+    if depth > 0 and not isinstance(ty, ArrowT):
+        bindable = st.sampled_from([IntT(), BytesT()])
 
         def with_let(bound_ty):
             fresh = next(n for n in _NAMES if n not in env)
@@ -275,13 +350,13 @@ def _effectful(ty, env, depth):
         return sub(t).map(annotate)
 
     # a binder is fresh or shadows a variable; fd and err ones stay visible
-    binders = st.sampled_from([n for n in _NAMES if env.get(n) not in (TFd(), TErr())][:4])
+    binders = st.sampled_from([n for n in _NAMES if env.get(n) not in (FdT(), ErrT())][:4])
 
     def let(bound_ty, var):
         return st.tuples(inferred(bound_ty), sub(ty, {**env, var: bound_ty})).map(lambda p: Let(var, *p))
 
     def app(dom):
-        return st.tuples(inferred(TArrow(dom, ty)), sub(dom)).map(lambda p: App(*p))
+        return st.tuples(inferred(ArrowT((dom,), ty)), sub(dom)).map(lambda p: App(*p))
 
     def case(split, lv, rv):
         left, right = sub(ty, {**env, lv: split.left}), sub(ty, {**env, rv: split.right})
@@ -289,15 +364,15 @@ def _effectful(ty, env, depth):
 
     def proj(other):
         return st.one_of(
-            inferred(TPair(ty, other)).map(lambda e: Proj("fst", e)),
-            inferred(TPair(other, ty)).map(lambda e: Proj("snd", e)),
+            inferred(PairT(ty, other)).map(lambda e: Proj("fst", e)),
+            inferred(PairT(other, ty)).map(lambda e: Proj("snd", e)),
         )
 
     return [
         st.tuples(st.sampled_from(_BOUND), binders).flatmap(lambda p: let(*p)),
         st.sampled_from(_BOUND).flatmap(app),
         st.tuples(st.sampled_from(_SPLIT), binders, binders).flatmap(lambda p: case(*p)),
-        st.sampled_from([TInt(), TBytes()]).flatmap(proj),
+        st.sampled_from([IntT(), BytesT()]).flatmap(proj),
     ]
 
 
@@ -386,7 +461,7 @@ def test_translate_rejects_toplevel_effects():
 
 
 def test_curried_view_of_handler_type():
-    assert HANDLER_T == TArrow(TFd(), TArrow(TBytes(), TArrow(SEND_T, TEither(TUnit(), TErr()))))
+    assert HANDLER_T == ArrowT((FdT(),), ArrowT((BytesT(),), ArrowT((SEND_T,), EitherT(UnitT(), ErrT()))))
 
 
 # -- staging against the reference evaluator ------------------------------------
@@ -403,23 +478,23 @@ def _value_of(comp):
 
 def _sample(ty):
     """One value of each type, to apply functions to."""
-    if isinstance(ty, TPair):
+    if isinstance(ty, PairT):
         return DPair(_sample(ty.fst), _sample(ty.snd))
-    if isinstance(ty, TEither):
+    if isinstance(ty, EitherT):
         return DLeft(_sample(ty.left))
-    if isinstance(ty, TArrow):
+    if isinstance(ty, ArrowT):
         return DClosure(lambda _: ret(_sample(ty.cod)))
-    return {TInt: DInt(7), TBytes: DBytes(b"ab"), TUnit: DUnit()}[type(ty)]
+    return {IntT: DInt(7), BytesT: DBytes(b"ab"), UnitT: DUnit()}[type(ty)]
 
 
 def _same(ty, a, b) -> bool:
     """Equal values of type `ty`; functions are compared on a sample argument."""
-    if isinstance(ty, TArrow):
-        arg = _sample(ty.dom)
+    if isinstance(ty, ArrowT):
+        arg = _sample(ty.doms[0])
         return _same(ty.cod, _value_of(a.fn(arg)), _value_of(b.fn(arg)))
-    if isinstance(ty, TPair):
+    if isinstance(ty, PairT):
         return _same(ty.fst, a.fst, b.fst) and _same(ty.snd, a.snd, b.snd)
-    if isinstance(ty, TEither):
+    if isinstance(ty, EitherT):
         side = ty.left if isinstance(a, DLeft) else ty.right
         return type(a) is type(b) and _same(side, a.value, b.value)
     return a == b
@@ -435,28 +510,22 @@ def test_staged_value_equals_reference(pair):
 
 
 _DATA_TYPES = (
-    TInt(),
-    TBytes(),
+    IntT(),
+    BytesT(),
     *_IO_FORMS,
-    TPair(_io_result(TBytes()), TInt()),
-    TEither(TInt(), TBytes()),
+    PairT(_io_result(BytesT()), IntT()),
+    EitherT(IntT(), BytesT()),
 )
 effectful_terms = st.sampled_from(_DATA_TYPES).flatmap(
-    lambda ty: st.tuples(st.just(ty), _terms_of(ty, {"u": TUnit()}, 2, effects=True))
+    lambda ty: st.tuples(st.just(ty), _terms_of(ty, {"u": UnitT()}, 2, effects=True))
 )
-_DESCS = {TInt: IntT, TBytes: BytesT, TUnit: UnitT, TFd: FdT, TErr: ErrT, TPair: PairT, TEither: EitherT}
-
-
-def _desc(ty):
-    """The boundary type descriptor of an arrow-free language type."""
-    return _DESCS[type(ty)](*(_desc(getattr(ty, f)) for f in ty.__dataclass_fields__))
 
 
 @given(effectful_terms)
 @settings(max_examples=150, deadline=None)
 def test_staged_effects_equal_reference(pair):
     ty, body = pair
-    term, ctype = Lam("u", TUnit(), body), ArrowT((UnitT(),), _desc(ty))
+    term, ctype = Lam("u", UnitT(), body), ArrowT((UnitT(),), ty)
     lib = enforce_policy(lambda s, op, arg: True, stateless_mstate())
     world = make_world(files={"/a": b"A", "/b": b"BB"})
 

@@ -327,8 +327,9 @@ def test_non_computations_raise_type_error(build, small_world):
 
 
 def test_do_body_exception_propagates_unchanged(small_world):
-    # Plugin containment will turn this into an in-band failure on purpose;
-    # until then a raising `@do` body escapes `interpret` as it was raised.
+    # This body is trusted code outside any contract boundary, so its
+    # exception escapes `interpret` as it was raised; plugin containment
+    # only turns failures of untrusted code into in-band ones.
     boom = ZeroDivisionError("handler bug")
 
     @do

@@ -12,7 +12,8 @@ arranged in a tree mirroring the type: a `Node` sits at a function type
 carrying a spec, an `EmptyNode` descends through structure, and a `Leaf`
 closes a subtree with nothing to check.  Whether a node's check guards the
 call (a pre-condition) or judges its outcome (a post-condition) is declared
-by the function type's spec.
+by the function type's spec.  Enforcing a check reads the state twice and
+calls the predicate once; `EffCheck.phase1` is its source-level form.
 
 How a tree lines up with a type is written once, in `subtrees`: a node's
 left child goes with a pair's first side, a sum's left side, or an arrow's
@@ -34,13 +35,12 @@ from enum import Enum
 from typing import Any, Callable
 
 from .effects import (
+    Bind,
     Comp,
     Err,
     Ok,
     Ret,
-    bind,
     contract_failure,
-    do,
     get_mstate,
     is_err,
 )
@@ -196,7 +196,14 @@ class DClosure(DynValue):
     fn: Callable[..., Comp]
 
 
-_BASE_SHAPES = {UnitT: DUnit, IntT: DInt, BytesT: DBytes, FdT: DFd, ErrT: DErr}
+# base type -> (its dynamic shape, native to dynamic, dynamic to native)
+_BASE_SHAPES = {
+    UnitT: (DUnit, lambda v: DUnit(), lambda dv: ()),
+    IntT: (DInt, DInt, lambda dv: dv.n),
+    BytesT: (DBytes, DBytes, lambda dv: dv.data),
+    FdT: (DFd, DFd, lambda dv: dv.fd),
+    ErrT: (DErr, lambda v: DErr(v.code, v.why), lambda dv: Err(dv.code, dv.why)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +212,9 @@ _BASE_SHAPES = {UnitT: DUnit, IntT: DInt, BytesT: DBytes, FdT: DFd, ErrT: DErr}
 
 # (x, state-before, y, state-after) -> verdict
 Check = Callable[[Any, Any, Any, Any], bool]
+
+# One state-read node serves every check: each time the loop reaches it is a read.
+_READ = get_mstate()
 
 
 class CheckTree:
@@ -231,27 +241,21 @@ class Node(CheckTree):
 
 @dataclass(frozen=True, eq=False)
 class EffCheck:
-    """Two-phase stateful check.
+    """A check as linking hands it out.  Enforcement calls `ck` once between
+    two state reads; `phase1` is the form a source context may run: it reads
+    the state and returns the second phase, which reads it again and decides."""
 
-    Phase one snapshots the monitor state before a call and hands back the
-    second phase, which snapshots the state after and decides the verdict.
-    Neither phase records events.
-    """
+    ck: Check
 
-    phase1: Callable[[Any], Comp]
-
-
-def make_check_eff(ck: Check) -> EffCheck:
-    def phase1(x):
+    def phase1(self, x) -> Comp:
         def got_before(s0):
-            def phase2(y):
-                return bind(get_mstate(), lambda s1: Ret((s1, bool(ck(x, s0, y, s1)))))
-
+            phase2 = lambda y: Bind(_READ, lambda s1: Ret((s1, bool(self.ck(x, s0, y, s1)))))
             return Ret((s0, phase2))
 
-        return bind(get_mstate(), got_before)
+        return Bind(_READ, got_before)
 
-    return EffCheck(phase1)
+
+make_check_eff = EffCheck
 
 
 def make_checks_eff(tree: CheckTree) -> CheckTree:
@@ -261,7 +265,7 @@ def make_checks_eff(tree: CheckTree) -> CheckTree:
     if isinstance(tree, EmptyNode):
         return EmptyNode(make_checks_eff(tree.left), make_checks_eff(tree.right))
     if isinstance(tree, Node):
-        return Node(make_check_eff(tree.ck), make_checks_eff(tree.left), make_checks_eff(tree.right))
+        return Node(EffCheck(tree.ck), make_checks_eff(tree.left), make_checks_eff(tree.right))
     raise TypeError(f"not a check tree: {tree!r}")
 
 
@@ -319,17 +323,13 @@ def shape_matches(td: TypeDesc, tree: CheckTree) -> bool:
 
 
 def enforce_pre(eff_ck: EffCheck, f: Callable[..., Comp], label: str) -> Callable[..., Comp]:
-    """Guard `f` behind the check; denial returns a contract failure with
-    no events and without calling `f`."""
+    """Guard `f` behind the check, read with nothing in between: denial
+    returns a contract failure with no events and without calling `f`."""
+    ck, failure = eff_ck.ck, Ret(contract_failure(f"pre:{label}"))
 
-    @do
     def wrapped(*args):
-        _s0, phase2 = yield eff_ck.phase1(args)
-        _s1, verdict = yield phase2(())
-        if not verdict:
-            return contract_failure(f"pre:{label}")
-        result = yield f(*args)
-        return result
+        before = lambda s0: Bind(_READ, lambda s1: f(*args) if ck(args, s0, (), s1) else failure)
+        return Bind(_READ, before)
 
     return wrapped
 
@@ -337,15 +337,14 @@ def enforce_pre(eff_ck: EffCheck, f: Callable[..., Comp], label: str) -> Callabl
 def enforce_post(eff_ck: EffCheck, f: Callable[..., Comp], label: str) -> Callable[..., Comp]:
     """Run `f`, then judge its result between the two state snapshots; a
     failed verdict replaces the result with a contract failure."""
+    ck, failure = eff_ck.ck, Ret(contract_failure(f"post:{label}"))
 
-    @do
     def wrapped(*args):
-        _s0, phase2 = yield eff_ck.phase1(args)
-        result = yield f(*args)
-        _s1, verdict = yield phase2(result)
-        if not verdict:
-            return contract_failure(f"post:{label}")
-        return result
+        def before(s0):
+            judge = lambda y: Bind(_READ, lambda s1: Ret(y) if ck(args, s0, y, s1) else failure)
+            return Bind(f(*args), judge)
+
+        return Bind(_READ, before)
 
     return wrapped
 
@@ -357,22 +356,12 @@ def enforce_post(eff_ck: EffCheck, f: Callable[..., Comp], label: str) -> Callab
 
 def export_value(td: TypeDesc, cks: CheckTree, value) -> DynValue:
     """Strong to dynamic.  Total; functions become guarded closures."""
-    if isinstance(td, UnitT):
-        return DUnit()
-    if isinstance(td, IntT):
-        return DInt(value)
-    if isinstance(td, BytesT):
-        return DBytes(value)
-    if isinstance(td, FdT):
-        return DFd(value)
-    if isinstance(td, ErrT):
-        return DErr(value.code, value.why)
+    base = _BASE_SHAPES.get(type(td))
+    if base is not None:
+        return base[1](value)
     if isinstance(td, PairT):
         fst_tree, snd_tree = subtrees(td, cks)
-        return DPair(
-            export_value(td.fst, fst_tree, value[0]),
-            export_value(td.snd, snd_tree, value[1]),
-        )
+        return DPair(export_value(td.fst, fst_tree, value[0]), export_value(td.snd, snd_tree, value[1]))
     if isinstance(td, EitherT):
         left_tree, right_tree = subtrees(td, cks)
         if isinstance(value, Ok):
@@ -386,19 +375,11 @@ def export_value(td: TypeDesc, cks: CheckTree, value) -> DynValue:
 
 def import_value(td: TypeDesc, cks: CheckTree, dv: DynValue):
     """Dynamic to strong: `Ok(value)` or a contract failure on mismatch."""
-    for base, shape in _BASE_SHAPES.items():
-        if isinstance(td, base):
-            if not isinstance(dv, shape):
-                return contract_failure(f"import:{base.__name__}")
-            if isinstance(dv, DUnit):
-                return Ok(())
-            if isinstance(dv, DErr):
-                return Ok(Err(dv.code, dv.why))
-            if isinstance(dv, DInt):
-                return Ok(dv.n)
-            if isinstance(dv, DBytes):
-                return Ok(dv.data)
-            return Ok(dv.fd)
+    base = _BASE_SHAPES.get(type(td))
+    if base is not None:
+        if not isinstance(dv, base[0]):
+            return contract_failure(f"import:{type(td).__name__}")
+        return Ok(base[2](dv))
     if isinstance(td, PairT):
         if not isinstance(dv, DPair):
             return contract_failure("import:PairT")
@@ -419,8 +400,7 @@ def import_value(td: TypeDesc, cks: CheckTree, dv: DynValue):
             inner = import_value(td.right, right_tree, dv.value)
             if is_err(inner):
                 return inner
-            payload = inner.value
-            return Ok(payload if isinstance(payload, Err) else Err(payload))
+            return Ok(inner.value if isinstance(inner.value, Err) else Err(inner.value))
         return contract_failure("import:EitherT")
     if isinstance(td, ArrowT):
         if not isinstance(dv, DClosure):
@@ -438,48 +418,48 @@ def _dyn_failure(e: Err) -> DynValue:
 
 
 def _export_arrow(td: ArrowT, cks: CheckTree, f: Callable[..., Comp]) -> DClosure:
+    """The context's call enters trusted code at one point: `f`, behind `_apply_node`."""
     *arg_trees, cod_tree = subtrees(td, cks)
-    guarded = _apply_node(td, cks, f)
+    guarded, doms, cod = _apply_node(td, cks, f), td.doms, td.cod
 
-    @do
     def fn(*dyn_args):
-        if len(dyn_args) != len(td.doms):
-            return _dyn_failure(contract_failure(f"import:arity:{_label(td)}"))
+        if len(dyn_args) != len(doms):
+            return Ret(_dyn_failure(contract_failure(f"import:arity:{_label(td)}")))
         natives = []
-        for dom, tree, da in zip(td.doms, arg_trees, dyn_args):
+        for dom, tree, da in zip(doms, arg_trees, dyn_args):
             imported = import_value(dom, tree, da)
             if is_err(imported):
-                return _dyn_failure(imported)
+                return Ret(_dyn_failure(imported))
             natives.append(imported.value)
-        result = yield guarded(*natives)
-        return export_value(td.cod, cod_tree, result)
+        return Bind(guarded(*natives), lambda result: Ret(export_value(cod, cod_tree, result)))
 
     return DClosure(fn)
 
 
 def _import_arrow(td: ArrowT, cks: CheckTree, dclo: DClosure) -> Callable[..., Comp]:
+    """Trusted code's call enters the context at one point: `enter`, behind `_apply_node`."""
     *arg_trees, cod_tree = subtrees(td, cks)
+    doms, cod = td.doms, td.cod
 
-    @do
-    def adapter(*natives):
-        dyn_args = [
-            export_value(dom, tree, x) for dom, tree, x in zip(td.doms, arg_trees, natives)
-        ]
-        dyn_result = yield dclo.fn(*dyn_args)
-        imported = import_value(td.cod, cod_tree, dyn_result)
-        # A result that fails to import is an in-band contract failure: the
-        # codomain includes errors by construction.
-        return imported.value if not is_err(imported) else imported
+    def enter(*natives):
+        dyn_args = [export_value(dom, tree, x) for dom, tree, x in zip(doms, arg_trees, natives)]
+        return Bind(dclo.fn(*dyn_args), imported)
 
-    return _apply_node(td, cks, adapter)
+    def imported(dyn_result):  # failing to import is in-band: codomains include errors
+        outcome = import_value(cod, cod_tree, dyn_result)
+        return Ret(outcome.value if not is_err(outcome) else outcome)
+
+    return _apply_node(td, cks, enter)
 
 
 def _apply_node(td: ArrowT, cks: CheckTree, f: Callable[..., Comp]) -> Callable[..., Comp]:
+    """`f` behind the check, or one step: run once the loop reaches a call, not when it is built."""
     if not isinstance(cks, Node):
-        return f
+        start = lambda args: f(*args)
+        return lambda *args: Bind(Ret(args), start)
     if td.spec is None:
         raise ValueError("check node at an arrow without a spec")
-    eff_ck = cks.ck if isinstance(cks.ck, EffCheck) else make_check_eff(cks.ck)
+    eff_ck = cks.ck if isinstance(cks.ck, EffCheck) else EffCheck(cks.ck)
     if td.spec.kind is CheckKind.PRE:
         return enforce_pre(eff_ck, f, _label(td))
     return enforce_post(eff_ck, f, _label(td))

@@ -46,6 +46,7 @@ class Bundle:
     dsl_sources: dict[str, str] = field(default_factory=dict)
     # when set, scenarios rebuild the program with the world's iteration cap
     prog_for_budget: Callable[[int], Callable] | None = None
+    _loaded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def context(self, name: str):
         """Resolve a context by name; `file:PATH` loads source text."""
@@ -59,8 +60,9 @@ class Bundle:
         raise KeyError(f"unknown context {name!r} for bundle {self.name}")
 
     def _translated(self, source: str):
-        ctype = compile_interface(self.interface).ctype
-        return ctxdsl.load(source, ctype)
+        if source not in self._loaded:
+            self._loaded[source] = ctxdsl.load(source, compile_interface(self.interface).ctype)
+        return self._loaded[source]
 
     def context_names(self) -> list[str]:
         return list(self.contexts) + list(self.dsl_sources)

@@ -1,7 +1,8 @@
 """Deterministic interpreter: the handler that runs a computation tree
 against a world.  It drives `effects.evaluate`, which runs binds and `@do`
 bodies itself, and answers each call it yields: a state read with the
-monitor state, an IO call with one `worlds.step`.
+monitor state, an IO call with one `worlds.step`.  A contract check is two
+such reads around one call of its predicate, with no event of its own.
 
 Alongside the world it maintains ghost state: the events of this run and
 the monitor-state value, updated on every recorded event.  In check mode
@@ -72,12 +73,13 @@ def interpret(
     monitored_calls = 0
 
     alpha = abstraction(desc, seed_history) if check else None
-    if check and not desc.agree(state, alpha):
+    # hoisted out of the per-event path
+    ctx, step, upd, alpha_step, agree = Caller.CTX, worlds.step, desc.upd, desc.alpha_step, desc.agree
+    if check and not agree(state, alpha):
         raise GhostInvariantError("seeded state does not abstract seeded history")
 
     core = evaluate(comp)
     value = None
-    ctx, step, upd = Caller.CTX, worlds.step, desc.upd  # hoisted out of the per-event path
     while True:
         try:
             cur = core.send(value)
@@ -93,7 +95,7 @@ def interpret(
             )
 
         if cur.op is GET_MSTATE:
-            if check and not desc.agree(state, alpha):
+            if check and not agree(state, alpha):
                 raise GhostInvariantError("state does not abstract history at state read")
             value = state
             continue
@@ -115,8 +117,8 @@ def interpret(
         local.append(event)
         state = upd(state, event)
         if check:
-            alpha = desc.alpha_step(alpha, event)
-            if not desc.agree(state, alpha):
+            alpha = alpha_step(alpha, event)
+            if not agree(state, alpha):
                 raise GhostInvariantError(
                     f"state update broke the abstraction after {event.render()}"
                 )

@@ -5,8 +5,8 @@ how to maintain it per event (`upd`), and, independently, what a faithful
 summary is: a left fold over the history (`alpha_init`, `alpha_step`) and
 `agree(state, alpha)`; `abstracts(s, h)` is `agree` after folding `h`.
 Two laws make a descriptor usable, checked by the test suite rather than
-proven, and by the interpreter beside `upd` after every event (O(1) amortised
-for the full trace and for the web-server state):
+proven, and by the interpreter after every event and at every state read, at
+the cost of what changed since the pair it verified last (O(1) amortised):
 
 - `init` agrees with `alpha_init`;
 - `upd` and `alpha_step` applied to the same event preserve `agree`.
@@ -172,10 +172,11 @@ _DECIDERS = (_CLOSE,) + _ALLOCATORS
 def _opener_step(owner, e: Event):
     """Live descriptor -> opener, read as `traces._opener` reads a history: a
     successful close or allocation decides its descriptor (not open / opened
-    by its caller); any other event leaves every descriptor as it was."""
+    by its caller); `owner` itself when nothing changes."""
     if e.op in _DECIDERS and isinstance(e.result, Ok):
         fd, opener = (e.arg, None) if e.op is _CLOSE else (e.result.value, e.caller)
-        return MappingProxyType({k: c for k, c in {**owner, fd: opener}.items() if c is not None})
+        if owner.get(fd) is not opener:
+            return MappingProxyType({k: c for k, c in {**owner, fd: opener}.items() if c is not None})
     return owner
 
 
@@ -186,22 +187,39 @@ _WS_ALPHA_INIT = ({}, Written(), False)
 
 
 def _ws_alpha_step(a, e: Event):
+    """One event folded in; `a` itself when the event changes nothing."""
     owner, written, responded = a
-    owner = _opener_step(owner, e)
     if e.op is _READ and is_ok(e.result):
         responded = False
     elif e.op is _WRITE:
-        written = written.add(e.arg[0])
-        if e.caller is _PROG:
-            responded = True
-    return owner, written, responded
+        written, responded = written.add(e.arg[0]), responded or e.caller is _PROG
+    new_owner = _opener_step(owner, e)
+    if new_owner is owner and written is a[1] and responded is a[2]:
+        return a
+    return new_owner, written, responded
 
 
-def _ws_agree(s: WebServerState, a) -> bool:
-    """Same flag and sets; the context-opened tuple lists each member once."""
-    owner, written, responded = a
-    ctx_opened = sorted(fd for fd, caller in owner.items() if caller is _CTX)
-    return s.responded == responded and sorted(s.ctx_opened) == ctx_opened and s.written == written
+def _ws_agree():
+    """Same flag and sets; the context-opened tuple lists each member once.
+    Only components whose identity changed since the pair verified last are
+    compared (carriers are immutable): a read after an event is an identity test."""
+    last = [WebServerState(written=None), (None, None, None)]
+
+    def agree(s: WebServerState, a) -> bool:
+        (s0, a0), (owner, written, responded) = last, a
+        if s is s0 and a is a0:
+            return True
+        if s.responded != responded:
+            return False
+        if s.ctx_opened is not s0.ctx_opened or owner is not a0[0]:
+            if sorted(s.ctx_opened) != sorted(fd for fd, c in owner.items() if c is _CTX):
+                return False
+        if (s.written is not s0.written or written is not a0[1]) and s.written != written:
+            return False
+        last[:] = s, a
+        return True
+
+    return agree
 
 
 def _ws_upd(s: WebServerState, e: Event) -> WebServerState:
@@ -223,7 +241,7 @@ def _ws_upd(s: WebServerState, e: Event) -> WebServerState:
 
 
 def webserver_mstate() -> MStateDesc[WebServerState]:
-    return MStateDesc("webserver", WebServerState(), _ws_upd, _WS_ALPHA_INIT, _ws_alpha_step, _ws_agree)
+    return MStateDesc("webserver", WebServerState(), _ws_upd, _WS_ALPHA_INIT, _ws_alpha_step, _ws_agree())
 
 
 class History:

@@ -22,8 +22,6 @@ from .effects import Caller, Event, IoOp, Ok, Trace, is_ok
 PolicySpec = Callable[[Trace, Caller, IoOp, Any], bool]
 # (history, result, local trace) -> acceptable?
 PostCond = Callable[[Trace, Any, Trace], bool]
-# (local trace, result) -> member of the behaviour?
-TraceProperty = Callable[[Trace, int], bool]
 
 
 def enforced_locally(policy_spec: PolicySpec, h: Trace, lt: Iterable[Event]) -> bool:

@@ -14,8 +14,10 @@ from seclink.demos import (
     link_whole,
     logging_bundle,
     run_scenario,
+    webserver_bundle,
     zip_bundle,
 )
+from seclink.demos.dsl_handlers import DSL_HANDLER_SOURCES
 from seclink.demos.harness import webserver_interface
 from seclink.effects import Caller, IoOp
 from seclink.httputil import valid_http_request, valid_http_response
@@ -31,6 +33,20 @@ def test_all_bundle_scenarios_green():
             for i, world in enumerate(bundle.worlds):
                 report = run_scenario(bundle, name, world, i)
                 assert report.ok, report.render_text()
+
+
+def test_source_text_context_is_translated_once_per_bundle(tmp_path):
+    bundle = webserver_bundle()
+    assert bundle.context("dsl-benign") is bundle.context("dsl-benign")
+    path = tmp_path / "handler.ctx"
+    path.write_text(DSL_HANDLER_SOURCES["dsl-benign"])
+    first = bundle.context(f"file:{path}")
+    assert bundle.context(f"file:{path}") is first
+    benign_trace = run_scenario(bundle, f"file:{path}", bundle.worlds[1]).run.local
+    path.write_text(DSL_HANDLER_SOURCES["dsl-adv1"])
+    assert bundle.context(f"file:{path}") is not first
+    assert run_scenario(bundle, f"file:{path}", bundle.worlds[1]).run.local != benign_trace
+    assert webserver_bundle().context("dsl-benign") is not bundle.context("dsl-benign")
 
 
 def test_webserver_answers_every_request(ws_bundle):

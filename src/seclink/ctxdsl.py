@@ -5,16 +5,18 @@ instead of as host closures.  The language has base types (unit, int,
 bytes, fd, err), pairs, sums, unary functions, a handful of pure byte
 helpers, and one effect form `io OP e` that routes through the secure IO
 library supplied at link time.  There is no recursion, so every typed term
-terminates.
+terminates, and a term reaches IO only through that library: unlike a host
+closure (see `effects`), it cannot build a monitor-tagged call itself.
 
 Its types are the boundary's spec-free `contracts.TypeDesc`s with unary
 arrows.  `parse` builds the AST, `typecheck` verifies it against the boundary
-type it must inhabit, and `translate` stages the term once, compiling it to
-closures, and produces a target context whose runtime behaviour matches a
-hand-written one event for event.  Staging resolves each variable to its
-index in an immutable cons-list environment and fuses the pure steps that
-follow an effect into one loop, so the cost of a read does not grow with
-the `let`s around it.
+type it must inhabit in one bidirectional walk, and `translate` stages the
+term once, compiling it to closures, and produces a target context whose
+runtime behaviour matches a hand-written one event for event.  `IO_SIG`
+declares each op in one row, which all three read.  Staging resolves each
+variable to its index in an immutable cons-list environment and fuses the
+pure steps that follow an effect into one loop, so the cost of a read does
+not grow with the `let`s around it.
 
 Concrete syntax::
 
@@ -93,14 +95,15 @@ def _atomstr(td: TypeDesc) -> str:
     return f"({tystr(td)})" if isinstance(td, (PairT, EitherT, ArrowT)) else tystr(td)
 
 
-# Per-op argument and success-result types; results come wrapped in
-# `either _ err`.
-IO_SIG: dict[IoOp, tuple[TypeDesc, TypeDesc]] = {
-    IoOp.OPENFILE: (BytesT(), FdT()),
-    IoOp.READ: (FdT(), BytesT()),
-    IoOp.WRITE: (PairT(FdT(), BytesT()), UnitT()),
-    IoOp.CLOSE: (FdT(), UnitT()),
-    IoOp.SOCKET: (UnitT(), FdT()),
+# One row per op a context may call: the argument type, the success-result
+# type (results come wrapped in `either _ err`), the library argument of a
+# language value, and the language value of a successful result.
+IO_SIG: dict[IoOp, tuple] = {
+    IoOp.OPENFILE: (BytesT(), FdT(), lambda dv: (dv.data.decode("latin-1"), (), 0), DFd),
+    IoOp.READ: (FdT(), BytesT(), lambda dv: dv.fd, DBytes),
+    IoOp.WRITE: (PairT(FdT(), BytesT()), UnitT(), lambda dv: (dv.fst.fd, dv.snd.data), lambda _: DUnit()),
+    IoOp.CLOSE: (FdT(), UnitT(), lambda dv: dv.fd, lambda _: DUnit()),
+    IoOp.SOCKET: (UnitT(), FdT(), lambda dv: (), DFd),
 }
 
 PRIM_TYPES: dict[str, TypeDesc] = {
@@ -252,8 +255,10 @@ def _unescape(raw: str, pos: int) -> bytes:
             if esc not in _ESCAPES:
                 raise ParseError(pos, f"unknown escape \\{esc}")
             out += _ESCAPES[esc]
+        elif ord(c) > 0xFF:
+            raise ParseError(pos, f"{c!r} is not a byte; literals hold latin-1 characters")
         else:
-            out += c.encode("latin-1")
+            out.append(ord(c))
         i += 1
     return bytes(out)
 
@@ -333,26 +338,18 @@ class _Parser:
             var = self.expect("ident").text
             self.expect("sym", "=")
             bound = self.expr()
-            if not self.at_kw("in"):
-                raise ParseError(self.peek().pos, "expected 'in'")
-            self.next()
+            self.expect("ident", "in")
             return Let(var, bound, self.expr())
         if self.at_kw("case"):
             self.next()
             scrutinee = self.expr()
-            if not self.at_kw("of"):
-                raise ParseError(self.peek().pos, "expected 'of'")
-            self.next()
-            if not self.at_kw("inl"):
-                raise ParseError(self.peek().pos, "expected 'inl' branch")
-            self.next()
+            self.expect("ident", "of")
+            self.expect("ident", "inl")
             lv = self.expect("ident").text
             self.expect("sym", "=>")
             lb = self.expr()
             self.expect("sym", "|")
-            if not self.at_kw("inr"):
-                raise ParseError(self.peek().pos, "expected 'inr' branch")
-            self.next()
+            self.expect("ident", "inr")
             rv = self.expect("ident").text
             self.expect("sym", "=>")
             rb = self.expr()
@@ -437,93 +434,80 @@ def parse(text: str) -> CtxExpr:
 def typecheck(expr: CtxExpr, expected: TypeDesc) -> None:
     """Check a closed term against the type it must inhabit, as this
     language sees it (`curried_view`)."""
-    _check(expr, curried_view(expected), dict(PRIM_TYPES), "term")
+    _infer(expr, dict(PRIM_TYPES), "term", curried_view(expected))
 
 
 def _fail(path: str, message: str):
     raise TypecheckError(f"{path}: {message}")
 
 
-def _check(expr: CtxExpr, expected: TypeDesc, env: dict, path: str) -> None:
+_LIT_TYPES = {IntLit: IntT(), BytesLit: BytesT(), UnitLit: UnitT()}
+
+
+def _infer(expr: CtxExpr, env: dict, path: str, expected: TypeDesc | None = None) -> TypeDesc:
+    """The type of `expr`, checked against `expected` if given (checking and
+    synthesis are two modes of one judgement).  A function, an injection, or a
+    pair against a pair type is checked part by part; `let` and `case` pass the
+    expectation to their bodies; any other form is compared with it at the end."""
     if isinstance(expr, Lam):
-        if not isinstance(expected, ArrowT):
-            _fail(path, f"function found where {tystr(expected)} expected")
-        if expr.ty != expected.doms[0]:
-            _fail(path, f"argument annotated {tystr(expr.ty)}, needs {tystr(expected.doms[0])}")
-        _check(expr.body, expected.cod, {**env, expr.var: expr.ty}, path + ".body")
-        return
+        if expected is not None:
+            if not isinstance(expected, ArrowT):
+                _fail(path, f"function found where {tystr(expected)} expected")
+            if expr.ty != expected.doms[0]:
+                _fail(path, f"argument annotated {tystr(expr.ty)}, needs {tystr(expected.doms[0])}")
+        cod = None if expected is None else expected.cod
+        return ArrowT((expr.ty,), _infer(expr.body, {**env, expr.var: expr.ty}, path + ".body", cod))
     if isinstance(expr, Inject):
+        if expected is None:
+            _fail(path, "cannot infer the type of a bare sum injection; add context")
         if not isinstance(expected, EitherT):
             _fail(path, f"sum injection found where {tystr(expected)} expected")
         side = expected.left if expr.side == "inl" else expected.right
-        _check(expr.expr, side, env, path + "." + expr.side)
-        return
+        _infer(expr.expr, env, path + "." + expr.side, side)
+        return expected
     if isinstance(expr, PairE) and isinstance(expected, PairT):
-        _check(expr.fst, expected.fst, env, path + ".fst")
-        _check(expr.snd, expected.snd, env, path + ".snd")
-        return
+        fst = _infer(expr.fst, env, path + ".fst", expected.fst)
+        return PairT(fst, _infer(expr.snd, env, path + ".snd", expected.snd))
+    if isinstance(expr, Let):
+        bound = _infer(expr.bound, env, path + ".bound")
+        return _infer(expr.body, {**env, expr.var: bound}, path + ".body", expected)
     if isinstance(expr, Case):
         scrutinee = _infer(expr.scrutinee, env, path + ".scrutinee")
         if not isinstance(scrutinee, EitherT):
             _fail(path, f"case scrutinee has type {tystr(scrutinee)}, not a sum")
-        _check(expr.left_body, expected, {**env, expr.left_var: scrutinee.left}, path + ".inl")
-        _check(expr.right_body, expected, {**env, expr.right_var: scrutinee.right}, path + ".inr")
-        return
-    if isinstance(expr, Let):
-        bound = _infer(expr.bound, env, path + ".bound")
-        _check(expr.body, expected, {**env, expr.var: bound}, path + ".body")
-        return
-    actual = _infer(expr, env, path)
-    if actual != expected:
-        _fail(path, f"has type {tystr(actual)}, needs {tystr(expected)}")
-
-
-def _infer(expr: CtxExpr, env: dict, path: str) -> TypeDesc:
-    if isinstance(expr, Var):
-        if expr.name not in env:
-            _fail(path, f"unbound variable {expr.name!r}")
-        return env[expr.name]
-    if isinstance(expr, IntLit):
-        return IntT()
-    if isinstance(expr, BytesLit):
-        return BytesT()
-    if isinstance(expr, UnitLit):
-        return UnitT()
-    if isinstance(expr, Lam):
-        body = _infer(expr.body, {**env, expr.var: expr.ty}, path + ".body")
-        return ArrowT((expr.ty,), body)
-    if isinstance(expr, App):
-        fn = _infer(expr.fn, env, path + ".fn")
-        if not isinstance(fn, ArrowT):
-            _fail(path, f"applied expression has type {tystr(fn)}, not a function")
-        _check(expr.arg, fn.doms[0], env, path + ".arg")
-        return fn.cod
-    if isinstance(expr, PairE):
-        return PairT(_infer(expr.fst, env, path + ".fst"), _infer(expr.snd, env, path + ".snd"))
-    if isinstance(expr, Proj):
-        pair = _infer(expr.expr, env, path + "." + expr.side)
-        if not isinstance(pair, PairT):
-            _fail(path, f"projection from type {tystr(pair)}, not a pair")
-        return pair.fst if expr.side == "fst" else pair.snd
-    if isinstance(expr, IoCall):
-        arg_t, res_t = IO_SIG[expr.op]
-        _check(expr.arg, arg_t, env, path + ".arg")
-        return EitherT(res_t, ErrT())
-    if isinstance(expr, Let):
-        bound = _infer(expr.bound, env, path + ".bound")
-        return _infer(expr.body, {**env, expr.var: bound}, path + ".body")
-    if isinstance(expr, Case):
-        scrutinee = _infer(expr.scrutinee, env, path + ".scrutinee")
-        if not isinstance(scrutinee, EitherT):
-            _fail(path, f"case scrutinee has type {tystr(scrutinee)}, not a sum")
-        left = _infer(expr.left_body, {**env, expr.left_var: scrutinee.left}, path + ".inl")
-        right = _infer(expr.right_body, {**env, expr.right_var: scrutinee.right}, path + ".inr")
+        left = _infer(expr.left_body, {**env, expr.left_var: scrutinee.left}, path + ".inl", expected)
+        right = _infer(expr.right_body, {**env, expr.right_var: scrutinee.right}, path + ".inr", expected)
         if left != right:
             _fail(path, f"branches disagree: {tystr(left)} vs {tystr(right)}")
         return left
-    if isinstance(expr, Inject):
-        _fail(path, "cannot infer the type of a bare sum injection; add context")
-    raise TypeError(f"unknown expression {expr!r}")
+    if type(expr) in _LIT_TYPES:
+        actual = _LIT_TYPES[type(expr)]
+    elif isinstance(expr, Var):
+        if expr.name not in env:
+            _fail(path, f"unbound variable {expr.name!r}")
+        actual = env[expr.name]
+    elif isinstance(expr, App):
+        fn = _infer(expr.fn, env, path + ".fn")
+        if not isinstance(fn, ArrowT):
+            _fail(path, f"applied expression has type {tystr(fn)}, not a function")
+        _infer(expr.arg, env, path + ".arg", fn.doms[0])
+        actual = fn.cod
+    elif isinstance(expr, PairE):
+        actual = PairT(_infer(expr.fst, env, path + ".fst"), _infer(expr.snd, env, path + ".snd"))
+    elif isinstance(expr, Proj):
+        actual = _infer(expr.expr, env, path + "." + expr.side)
+        if not isinstance(actual, PairT):
+            _fail(path, f"projection from type {tystr(actual)}, not a pair")
+        actual = actual.fst if expr.side == "fst" else actual.snd
+    elif isinstance(expr, IoCall):
+        arg_t, ok_t = IO_SIG[expr.op][:2]
+        _infer(expr.arg, env, path + ".arg", arg_t)
+        actual = EitherT(ok_t, ErrT())
+    else:
+        raise TypeError(f"unknown expression {expr!r}")
+    if expected is not None and actual != expected:
+        _fail(path, f"has type {tystr(actual)}, needs {tystr(expected)}")
+    return actual
 
 
 # ---------------------------------------------------------------------------
@@ -549,16 +533,6 @@ def _prim_closures() -> dict[str, DynValue]:
 
 
 _PRIMS = _prim_closures()  # stateless closures, shared by every staged term
-
-# Per op: the library argument of a language value, and the language value
-# of a successful result (errors become `inr`).
-_IO_CONV = {
-    IoOp.OPENFILE: (lambda dv: (dv.data.decode("latin-1"), (), 0), DFd),
-    IoOp.READ: (lambda dv: dv.fd, DBytes),
-    IoOp.WRITE: (lambda dv: (dv.fst.fd, dv.snd.data), lambda _: DUnit()),
-    IoOp.CLOSE: (lambda dv: dv.fd, lambda _: DUnit()),
-    IoOp.SOCKET: (lambda dv: (), DFd),
-}
 
 
 def _run(post, v, env, lib):
@@ -670,7 +644,7 @@ def _stage(expr: CtxExpr, scope=None):
             return body_pure, lambda env, lib: bc((bound[1](env, lib), env), lib), ()
         return _then(bound, lambda v, env, lib: bc((v, env), lib), body_pure)
     if isinstance(expr, IoCall):
-        op, (to_arg, of_ok) = expr.op, _IO_CONV[expr.op]
+        op, (_, _, to_arg, of_ok) = expr.op, IO_SIG[expr.op]
         call = lambda dv, env, lib: lib.call(op, to_arg(dv))
         done = lambda r, env, lib: DRight(DErr(r.code, r.why)) if is_err(r) else DLeft(of_ok(r.value))
         return False, _then(_stage(expr.arg, scope), call, False)[1], (done,)

@@ -9,7 +9,7 @@ structured report with one verdict per property.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .. import ctxdsl
@@ -190,14 +190,11 @@ def webserver_interface(policy: str = "webserver") -> SourceInterface:
     if policy == "webserver":
         return iface
     if policy == "allow_all_in_tmp":
-        return SourceInterface(
+        return replace(
+            iface,
             label="webserver+allow_all_in_tmp",
-            ctype=iface.ctype,
             policy_spec=allow_all_in_tmp_spec,
             policy=allow_all_in_tmp_policy,
-            cks=iface.cks,
-            whole_run_post=iface.whole_run_post,
-            mstate=iface.mstate,
         )
     raise KeyError(f"unknown policy {policy!r}")
 

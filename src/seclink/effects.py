@@ -8,9 +8,13 @@ explicit stack and hands each `Call` to its driver (`seclink.interp`):
 O(1) per operation at any nesting depth, and no Python recursion.
 
 Caller tags distinguish trusted program code from untrusted context code.
-Context code never constructs IO call nodes directly; it goes through the
-secure library handle from `seclink.monitor`, which tags the node as
-monitor-mediated so the interpreter can audit the discipline.
+Context code is meant to reach IO only through the secure library handle
+from `seclink.monitor`, which tags the node as monitor-mediated so the
+interpreter can audit the discipline.  The tags are a convention, not
+provenance: `call_io` is public, so a host closure can build a monitor-tagged
+context call itself, skip the policy and pass the audit.  Until the loop
+marks where a call was built (ROADMAP, plugin containment), only the
+`policy-locally-enforced` verdict catches that.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ class ErrCode(Enum):
     ENOENT = "ENOENT"
     EBADF = "EBADF"
     EWOULDBLOCK = "EWOULDBLOCK"
-    EINVAL = "EINVAL"
 
 
 @dataclass(frozen=True)

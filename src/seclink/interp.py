@@ -9,7 +9,8 @@ the monitor-state value, updated on every recorded event.  In check mode
 (the default) it advances the abstraction fold beside the state and asserts
 that they agree: for the seeded history, after every event and at every
 state read.  It also audits the capability discipline: every context-tagged
-IO call must come through the secure library.
+IO call must come through the secure library.  The audit trusts the call's
+caller and monitor tags, which a host closure can forge (see `effects`).
 """
 
 from __future__ import annotations

@@ -221,6 +221,8 @@ class SampleSpace:
 # The suite
 # ---------------------------------------------------------------------------
 
+_MAX_COUNTEREXAMPLES = 5  # a report stops growing here
+
 
 def validate_arrow(
     arrow: ArrowT,
@@ -231,7 +233,6 @@ def validate_arrow(
     samples: int,
     rng: random.Random,
     report: ValidationReport,
-    max_counterexamples: int = 5,
 ) -> None:
     spec: ArrowSpec = arrow.spec
     space = SampleSpace(rng, policy_spec, desc)
@@ -241,7 +242,7 @@ def validate_arrow(
     def record(constraint: str, detail: str) -> bool:
         """Note a counterexample; True once there are enough to stop."""
         report.counterexamples.append(Counterexample(label, constraint, detail))
-        return len(report.counterexamples) >= max_counterexamples
+        return len(report.counterexamples) >= _MAX_COUNTEREXAMPLES
 
     def bump(constraint: str):
         key = (label, constraint)

@@ -32,26 +32,21 @@ _FIRST_FD = 3
 class FileFd:
     path: str
     cursor: int
-    owner: Caller
 
 
 @dataclass
 class SocketFd:
-    owner: Caller
-    bound: tuple[str, int] | None = None
     listening: bool = False
 
 
 @dataclass
 class ClientFd:
-    client_id: int
     pending: bytes
-    owner: Caller
 
 
 @dataclass
 class ConsoleFd:
-    owner: Caller = Caller.PROG
+    pass
 
 
 @dataclass
@@ -194,40 +189,40 @@ def canon_arg(op: IoOp, arg):
     return _CANON[op](arg)
 
 
-def _openfile(world: World, caller: Caller, arg) -> Result:
+def _openfile(world: World, arg) -> Result:
     path, flags, _mode = arg
     if path not in world.files:
         if "O_CREAT" in flags:
             world.files[path] = b""
         else:
             return Err(ErrCode.ENOENT)
-    return Ok(_alloc(world, FileFd(path, 0, caller)))
+    return Ok(_alloc(world, FileFd(path, 0)))
 
 
 def _on_socket(act):
-    """Handler of an op on the socket `arg[0]`: `act(entry, arg)`, or EBADF."""
-    def handle(world: World, caller: Caller, arg) -> Result:
+    """Handler of an op on the socket `arg[0]`: `act(entry)`, or EBADF."""
+    def handle(world: World, arg) -> Result:
         entry = world.fds.get(arg[0])
         if not isinstance(entry, SocketFd):
             return Err(ErrCode.EBADF)
-        act(entry, arg)
+        act(entry)
         return Ok(())
 
     return handle
 
 
-def _accept(world: World, caller: Caller, fd) -> Result:
+def _accept(world: World, fd) -> Result:
     entry = world.fds.get(fd)
     if not isinstance(entry, SocketFd) or not entry.listening:
         return Err(ErrCode.EBADF)
     if world.next_request >= len(world.requests):
         return Err(ErrCode.EWOULDBLOCK)
-    client_id, raw = world.requests[world.next_request]
+    _client_id, raw = world.requests[world.next_request]
     world.next_request += 1
-    return Ok(_alloc(world, ClientFd(client_id, raw, caller)))
+    return Ok(_alloc(world, ClientFd(raw)))
 
 
-def _select(world: World, caller: Caller, arg) -> Result:
+def _select(world: World, arg) -> Result:
     ready = [
         fd
         for fd in sorted(arg)
@@ -238,7 +233,7 @@ def _select(world: World, caller: Caller, arg) -> Result:
     return Ok(ready[0])
 
 
-def _read(world: World, caller: Caller, fd) -> Result:
+def _read(world: World, fd) -> Result:
     entry = world.fds.get(fd)
     if isinstance(entry, FileFd):
         content = world.files.get(entry.path, b"")
@@ -253,7 +248,7 @@ def _read(world: World, caller: Caller, fd) -> Result:
     return Err(ErrCode.EBADF)
 
 
-def _write(world: World, caller: Caller, arg) -> Result:
+def _write(world: World, arg) -> Result:
     fd, data = arg
     entry = world.fds.get(fd)
     if entry is None or isinstance(entry, SocketFd):
@@ -264,7 +259,7 @@ def _write(world: World, caller: Caller, arg) -> Result:
     return Ok(())
 
 
-def _close(world: World, caller: Caller, fd) -> Result:
+def _close(world: World, fd) -> Result:
     if fd not in world.fds or isinstance(world.fds[fd], ConsoleFd):
         return Err(ErrCode.EBADF)
     del world.fds[fd]
@@ -273,11 +268,10 @@ def _close(world: World, caller: Caller, fd) -> Result:
 
 _STEPS = _ByOp({
     IoOp.OPENFILE: _openfile,
-    IoOp.SOCKET: lambda world, caller, arg: Ok(_alloc(world, SocketFd(caller))),
-    IoOp.SETSOCKOPT: _on_socket(lambda entry, arg: None),
-    IoOp.BIND: _on_socket(lambda entry, arg: setattr(entry, "bound", arg[1:])),
-    IoOp.LISTEN: _on_socket(lambda entry, arg: setattr(entry, "listening", True)),
-    IoOp.SETNONBLOCK: lambda world, caller, fd: Ok(()) if fd in world.fds else Err(ErrCode.EBADF),
+    IoOp.SOCKET: lambda world, arg: Ok(_alloc(world, SocketFd())),
+    **dict.fromkeys((IoOp.SETSOCKOPT, IoOp.BIND), _on_socket(lambda entry: None)),
+    IoOp.LISTEN: _on_socket(lambda entry: setattr(entry, "listening", True)),
+    IoOp.SETNONBLOCK: lambda world, fd: Ok(()) if fd in world.fds else Err(ErrCode.EBADF),
     IoOp.ACCEPT: _accept,
     IoOp.SELECT: _select,
     IoOp.READ: _read,
@@ -288,7 +282,7 @@ _STEPS = _ByOp({
 
 def step(world: World, caller: Caller, op: IoOp, arg) -> Result:
     """Apply one IO operation to the world and return its in-band result."""
-    return _STEPS[op](world, caller, arg)
+    return _STEPS[op](world, arg)
 
 
 def render_trace(events) -> str:

@@ -110,6 +110,7 @@ def test_parse_string_escapes():
         "(1, 2",  # unbalanced
         "let x = 1",  # missing in
         "",
+        '"€"',  # not a byte
     ],
 )
 def test_parse_errors_carry_positions(text):

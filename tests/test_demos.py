@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from seclink.contracts import EmptyNode, Leaf
+from seclink.contracts import DBytes, DClosure, EmptyNode, Leaf
 from seclink.demos import (
     BUNDLES,
     attribute_mechanism,
@@ -19,8 +19,8 @@ from seclink.demos import (
 )
 from seclink.demos.dsl_handlers import DSL_HANDLER_SOURCES
 from seclink.demos.harness import webserver_interface
-from seclink.effects import Caller, IoOp
-from seclink.httputil import valid_http_request, valid_http_response
+from seclink.effects import Caller, IoOp, bind, call_io
+from seclink.httputil import http_ok, valid_http_request, valid_http_response
 from seclink.interp import interpret
 from seclink.traces import enforced_locally
 from seclink.worlds import make_world
@@ -137,6 +137,29 @@ def test_allow_all_in_tmp_policy_variant():
     assert not iface.policy(state, IoOp.WRITE, (4, b"x"))
     with pytest.raises(KeyError):
         webserver_interface("nope")
+
+
+def test_forged_monitor_tag_fails_only_local_enforcement(ws_bundle):
+    # The caller and monitor tags are a convention: a host closure that builds
+    # a monitor-tagged context call itself skips the policy and passes the
+    # capability audit.  Of the scenario verdicts, only local enforcement
+    # catches it.
+    def forging_handler(_lib):
+        def run(_client, _req, send):
+            forged = call_io(Caller.CTX, IoOp.OPENFILE, ("/etc/passwd", (), 0), via_monitor=True)
+            return bind(forged, lambda _r: send.fn(DBytes(http_ok(b"x"))))
+
+        return DClosure(run)
+
+    bundle = dataclasses.replace(ws_bundle, contexts={"forger": forging_handler})
+    report = run_scenario(bundle, "forger", bundle.worlds[1], 1)
+    assert report.verdicts == {
+        "capability-audit": True,
+        "whole-run-post": True,
+        "policy-locally-enforced": False,
+    }
+    ctx_opens = [e.arg[0] for e in report.run.local if e.caller is Caller.CTX and e.op is IoOp.OPENFILE]
+    assert "/etc/passwd" in ctx_opens
 
 
 def test_logging_alternation_trace():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seclink.demos import zip_bundle
 from seclink.demos.harness import link_whole
@@ -153,6 +155,32 @@ def test_scenario_round_trip():
 def test_scenario_validation_errors(payload):
     with pytest.raises(ScenarioError):
         load_scenario(payload)
+
+
+# -- the caller tags the trace, not the outcome -----------------------------------
+
+_FDS = st.integers(0, 8)
+_PATHS = st.sampled_from(["/temp/a", "/temp/b", "/temp/new"])
+_OP_ARGS = st.one_of(
+    st.tuples(st.just(IoOp.OPENFILE), st.tuples(_PATHS, st.sampled_from([(), ("O_CREAT",)]), st.just(0))),
+    st.tuples(st.sampled_from([IoOp.READ, IoOp.CLOSE, IoOp.ACCEPT, IoOp.SETNONBLOCK]), _FDS),
+    st.tuples(st.just(IoOp.WRITE), st.tuples(_FDS, st.binary(max_size=3))),
+    st.tuples(st.just(IoOp.SOCKET), st.just(())),
+    st.tuples(st.just(IoOp.SETSOCKOPT), st.tuples(_FDS, st.just("SO_REUSEADDR"), st.booleans())),
+    st.tuples(st.just(IoOp.BIND), st.tuples(_FDS, st.just("0.0.0.0"), st.integers(0, 9))),
+    st.tuples(st.just(IoOp.LISTEN), st.tuples(_FDS, st.just(5))),
+    st.tuples(st.just(IoOp.SELECT), st.lists(_FDS, max_size=3).map(tuple)),
+)
+
+
+@given(st.lists(_OP_ARGS, max_size=24))
+@settings(max_examples=150, deadline=None)
+def test_outcomes_do_not_depend_on_the_caller(ops):
+    scripted = dict(files={"/temp/a": b"alpha", "/temp/b": b""}, requests=[(1, b"one"), (2, b"")])
+    worlds = {caller: make_world(**scripted) for caller in (PROG, CTX)}
+    results = {caller: [step(w, caller, op, arg) for op, arg in ops] for caller, w in worlds.items()}
+    assert results[PROG] == results[CTX]
+    assert worlds[PROG] == worlds[CTX]
 
 
 # -- writes append in place --------------------------------------------------------

@@ -43,6 +43,7 @@ from .effects import (
     contract_failure,
     get_mstate,
     is_err,
+    record,
 )
 
 # ---------------------------------------------------------------------------
@@ -147,49 +148,49 @@ class DynValue:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class DUnit(DynValue):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class DInt(DynValue):
     n: int
 
 
-@dataclass(frozen=True)
+@record
 class DBytes(DynValue):
     data: bytes
 
 
-@dataclass(frozen=True)
+@record
 class DFd(DynValue):
     fd: int
 
 
-@dataclass(frozen=True)
+@record
 class DErr(DynValue):
     code: Any
     why: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class DPair(DynValue):
     fst: DynValue
     snd: DynValue
 
 
-@dataclass(frozen=True)
+@record
 class DLeft(DynValue):
     value: DynValue
 
 
-@dataclass(frozen=True)
+@record
 class DRight(DynValue):
     value: DynValue
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class DClosure(DynValue):
     """Boundary function: takes dynamic values, computes a dynamic value."""
 

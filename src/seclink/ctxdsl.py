@@ -434,21 +434,30 @@ def parse(text: str) -> CtxExpr:
 def typecheck(expr: CtxExpr, expected: TypeDesc) -> None:
     """Check a closed term against the type it must inhabit, as this
     language sees it (`curried_view`)."""
-    _infer(expr, dict(PRIM_TYPES), "term", curried_view(expected))
+    _infer(expr, PRIM_TYPES, "term", curried_view(expected))
 
 
-def _fail(path: str, message: str):
-    raise TypecheckError(f"{path}: {message}")
+def _fail(path, message: str):
+    segments = []
+    while type(path) is tuple:
+        segment, path = path
+        segments.append(segment)
+    raise TypecheckError(f"{path}{''.join(reversed(segments))}: {message}")
 
 
 _LIT_TYPES = {IntLit: IntT(), BytesLit: BytesT(), UnitLit: UnitT()}
 
 
-def _infer(expr: CtxExpr, env: dict, path: str, expected: TypeDesc | None = None) -> TypeDesc:
+def _infer(expr: CtxExpr, env, path, expected: TypeDesc | None = None) -> TypeDesc:
     """The type of `expr`, checked against `expected` if given (checking and
     synthesis are two modes of one judgement).  A function, an injection, or a
     pair against a pair type is checked part by part; `let` and `case` pass the
-    expectation to their bodies; any other form is compared with it at the end."""
+    expectation to their bodies; any other form is compared with it at the end.
+
+    A binder or a step down costs one immutable cell, so a check is linear in
+    nested binders: `env` is cells `(name, type, rest)` ending in a dict of
+    the outermost names, and `path` cells `(".segment", parent)` ending in
+    the root's name, joined only into an error's text."""
     if isinstance(expr, Lam):
         if expected is not None:
             if not isinstance(expected, ArrowT):
@@ -456,52 +465,58 @@ def _infer(expr: CtxExpr, env: dict, path: str, expected: TypeDesc | None = None
             if expr.ty != expected.doms[0]:
                 _fail(path, f"argument annotated {tystr(expr.ty)}, needs {tystr(expected.doms[0])}")
         cod = None if expected is None else expected.cod
-        return ArrowT((expr.ty,), _infer(expr.body, {**env, expr.var: expr.ty}, path + ".body", cod))
+        return ArrowT((expr.ty,), _infer(expr.body, (expr.var, expr.ty, env), (".body", path), cod))
     if isinstance(expr, Inject):
         if expected is None:
             _fail(path, "cannot infer the type of a bare sum injection; add context")
         if not isinstance(expected, EitherT):
             _fail(path, f"sum injection found where {tystr(expected)} expected")
         side = expected.left if expr.side == "inl" else expected.right
-        _infer(expr.expr, env, path + "." + expr.side, side)
+        _infer(expr.expr, env, ("." + expr.side, path), side)
         return expected
     if isinstance(expr, PairE) and isinstance(expected, PairT):
-        fst = _infer(expr.fst, env, path + ".fst", expected.fst)
-        return PairT(fst, _infer(expr.snd, env, path + ".snd", expected.snd))
+        fst = _infer(expr.fst, env, (".fst", path), expected.fst)
+        return PairT(fst, _infer(expr.snd, env, (".snd", path), expected.snd))
     if isinstance(expr, Let):
-        bound = _infer(expr.bound, env, path + ".bound")
-        return _infer(expr.body, {**env, expr.var: bound}, path + ".body", expected)
+        bound = _infer(expr.bound, env, (".bound", path))
+        return _infer(expr.body, (expr.var, bound, env), (".body", path), expected)
     if isinstance(expr, Case):
-        scrutinee = _infer(expr.scrutinee, env, path + ".scrutinee")
+        scrutinee = _infer(expr.scrutinee, env, (".scrutinee", path))
         if not isinstance(scrutinee, EitherT):
             _fail(path, f"case scrutinee has type {tystr(scrutinee)}, not a sum")
-        left = _infer(expr.left_body, {**env, expr.left_var: scrutinee.left}, path + ".inl", expected)
-        right = _infer(expr.right_body, {**env, expr.right_var: scrutinee.right}, path + ".inr", expected)
+        left = _infer(expr.left_body, (expr.left_var, scrutinee.left, env), (".inl", path), expected)
+        right = _infer(expr.right_body, (expr.right_var, scrutinee.right, env), (".inr", path), expected)
         if left != right:
             _fail(path, f"branches disagree: {tystr(left)} vs {tystr(right)}")
         return left
     if type(expr) in _LIT_TYPES:
         actual = _LIT_TYPES[type(expr)]
     elif isinstance(expr, Var):
-        if expr.name not in env:
+        cell = env
+        while type(cell) is tuple and cell[0] != expr.name:
+            cell = cell[2]
+        if type(cell) is tuple:
+            actual = cell[1]
+        elif expr.name in cell:
+            actual = cell[expr.name]
+        else:
             _fail(path, f"unbound variable {expr.name!r}")
-        actual = env[expr.name]
     elif isinstance(expr, App):
-        fn = _infer(expr.fn, env, path + ".fn")
+        fn = _infer(expr.fn, env, (".fn", path))
         if not isinstance(fn, ArrowT):
             _fail(path, f"applied expression has type {tystr(fn)}, not a function")
-        _infer(expr.arg, env, path + ".arg", fn.doms[0])
+        _infer(expr.arg, env, (".arg", path), fn.doms[0])
         actual = fn.cod
     elif isinstance(expr, PairE):
-        actual = PairT(_infer(expr.fst, env, path + ".fst"), _infer(expr.snd, env, path + ".snd"))
+        actual = PairT(_infer(expr.fst, env, (".fst", path)), _infer(expr.snd, env, (".snd", path)))
     elif isinstance(expr, Proj):
-        actual = _infer(expr.expr, env, path + "." + expr.side)
+        actual = _infer(expr.expr, env, ("." + expr.side, path))
         if not isinstance(actual, PairT):
             _fail(path, f"projection from type {tystr(actual)}, not a pair")
         actual = actual.fst if expr.side == "fst" else actual.snd
     elif isinstance(expr, IoCall):
         arg_t, ok_t = IO_SIG[expr.op][:2]
-        _infer(expr.arg, env, path + ".arg", arg_t)
+        _infer(expr.arg, env, (".arg", path), arg_t)
         actual = EitherT(ok_t, ErrT())
     else:
         raise TypeError(f"unknown expression {expr!r}")

@@ -293,8 +293,10 @@ def _ctx_only(policy_spec):
     """Judge only untrusted-side events.  A rule for the trusted side's own
     events belongs in the bundle's whole-run post-condition."""
 
+    prog = Caller.PROG  # hoisted (see the note in `effects`)
+
     def weakened(h, caller, op, arg):
-        return caller is Caller.PROG or policy_spec(h, caller, op, arg)
+        return caller is prog or policy_spec(h, caller, op, arg)
 
     return weakened
 

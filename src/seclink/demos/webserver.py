@@ -57,24 +57,29 @@ from ..traces import (
 SERVED_FOLDER = "/temp"
 DEFAULT_REQUEST_BUDGET = 16
 
+# Hoisted (see the note in `effects`).
+_PROG, _CTX = Caller.PROG, Caller.CTX
+_OPENFILE, _READ, _WRITE, _CLOSE = IoOp.OPENFILE, IoOp.READ, IoOp.WRITE, IoOp.CLOSE
+_ACCEPT, _SELECT = IoOp.ACCEPT, IoOp.SELECT
+
 
 def policy_spec(h, caller, op, arg) -> bool:
     """Allowed events while the handler runs: the handler may open, read
     and close its own files under the served folder; only the trusted side
     may write."""
-    if caller is Caller.CTX:
-        if op is IoOp.OPENFILE:
+    if caller is _CTX:
+        if op is _OPENFILE:
             return in_folder(arg[0], SERVED_FOLDER)
-        if op in (IoOp.READ, IoOp.CLOSE):
+        if op is _READ or op is _CLOSE:
             return is_opened_by_ctx(arg, h)
         return False
-    return op is IoOp.WRITE
+    return op is _WRITE
 
 
 def policy(s: WebServerState, op: IoOp, arg) -> bool:
-    if op is IoOp.OPENFILE:
+    if op is _OPENFILE:
         return in_folder(arg[0], SERVED_FOLDER)
-    if op in (IoOp.READ, IoOp.CLOSE):
+    if op is _READ or op is _CLOSE:
         return arg in s.ctx_opened
     return False
 
@@ -157,7 +162,7 @@ def interface() -> SourceInterface:
 
 
 def _send_to(client: int):
-    return lambda response: call_io(Caller.PROG, IoOp.WRITE, (client, response))
+    return lambda response: call_io(_PROG, _WRITE, (client, response))
 
 
 def make_server_prog(budget: int = DEFAULT_REQUEST_BUDGET):
@@ -166,31 +171,31 @@ def make_server_prog(budget: int = DEFAULT_REQUEST_BUDGET):
 
     @do
     def server(handler):
-        sock = yield call_io(Caller.PROG, IoOp.SOCKET, ())
+        sock = yield call_io(_PROG, IoOp.SOCKET, ())
         sock = sock.value
-        yield call_io(Caller.PROG, IoOp.SETSOCKOPT, (sock, "SO_REUSEADDR", True))
-        yield call_io(Caller.PROG, IoOp.BIND, (sock, "0.0.0.0", 3000))
-        yield call_io(Caller.PROG, IoOp.LISTEN, (sock, 5))
-        yield call_io(Caller.PROG, IoOp.SETNONBLOCK, sock)
+        yield call_io(_PROG, IoOp.SETSOCKOPT, (sock, "SO_REUSEADDR", True))
+        yield call_io(_PROG, IoOp.BIND, (sock, "0.0.0.0", 3000))
+        yield call_io(_PROG, IoOp.LISTEN, (sock, 5))
+        yield call_io(_PROG, IoOp.SETNONBLOCK, sock)
         served = 0
         for _ in range(budget):
-            accepted = yield call_io(Caller.PROG, IoOp.ACCEPT, sock)
+            accepted = yield call_io(_PROG, _ACCEPT, sock)
             if is_err(accepted):
                 break
             client = accepted.value
-            ready = yield call_io(Caller.PROG, IoOp.SELECT, (client,))
+            ready = yield call_io(_PROG, _SELECT, (client,))
             if is_ok(ready):
-                request = yield call_io(Caller.PROG, IoOp.READ, client)
+                request = yield call_io(_PROG, _READ, client)
                 if is_ok(request):
                     if valid_http_request(request.value):
                         outcome = yield handler(client, request.value, _send_to(client))
                         if is_err(outcome):
-                            yield call_io(Caller.PROG, IoOp.WRITE, (client, http_error(400)))
+                            yield call_io(_PROG, _WRITE, (client, http_error(400)))
                     else:
-                        yield call_io(Caller.PROG, IoOp.WRITE, (client, http_error(400)))
+                        yield call_io(_PROG, _WRITE, (client, http_error(400)))
                     served += 1
-            yield call_io(Caller.PROG, IoOp.CLOSE, client)
-        yield call_io(Caller.PROG, IoOp.CLOSE, sock)
+            yield call_io(_PROG, _CLOSE, client)
+        yield call_io(_PROG, _CLOSE, sock)
         return served
 
     return server

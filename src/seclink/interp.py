@@ -75,7 +75,8 @@ def interpret(
 
     alpha = abstraction(desc, seed_history) if check else None
     # hoisted out of the per-event path
-    ctx, step, upd, alpha_step, agree = Caller.CTX, worlds.step, desc.upd, desc.alpha_step, desc.agree
+    ctx, canon_arg, step = Caller.CTX, worlds.canon_arg, worlds.step
+    upd, alpha_step, agree = desc.upd, desc.alpha_step, desc.agree
     if check and not agree(state, alpha):
         raise GhostInvariantError("seeded state does not abstract seeded history")
 
@@ -95,26 +96,28 @@ def interpret(
                 monitored_calls=monitored_calls,
             )
 
-        if cur.op is GET_MSTATE:
+        op = cur.op
+        if op is GET_MSTATE:
             if check and not agree(state, alpha):
                 raise GhostInvariantError("state does not abstract history at state read")
             value = state
             continue
 
-        if not isinstance(cur.op, IoOp):
-            raise TypeError(f"unknown operation {cur.op!r}")
-        if cur.caller is ctx:
+        if not isinstance(op, IoOp):
+            raise TypeError(f"unknown operation {op!r}")
+        caller = cur.caller
+        if caller is ctx:
             if check and not cur.via_monitor:
                 raise CapabilityError(
-                    f"unmediated context call: {cur.op.value} {cur.arg!r}"
+                    f"unmediated context call: {op.value} {cur.arg!r}"
                 )
             ctx_events += 1
         if cur.via_monitor:
             monitored_calls += 1
 
-        arg = worlds.canon_arg(cur.op, cur.arg)
-        value = step(w, cur.caller, cur.op, arg)
-        event = Event(cur.caller, cur.op, arg, value)
+        arg = canon_arg(op, cur.arg)
+        value = step(w, caller, op, arg)
+        event = Event(caller, op, arg, value)
         local.append(event)
         state = upd(state, event)
         if check:

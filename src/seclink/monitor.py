@@ -27,6 +27,8 @@ from types import MappingProxyType
 from typing import Any, Callable, Generic, Iterable, TypeVar
 
 from .effects import (
+    Bind,
+    Call,
     Caller,
     Comp,
     Event,
@@ -34,16 +36,19 @@ from .effects import (
     Ok,
     Ret,
     Trace,
-    bind,
-    call_io,
     contract_failure,
     get_mstate,
-    is_ok,
+    record,
 )
 from .traces import _ALLOCATORS
 from .worlds import canon_arg
 
 S = TypeVar("S")
+
+# Hoisted (see the note in `effects`); one state-read node serves every call.
+_CLOSE, _READ, _WRITE, _PROG, _CTX = IoOp.CLOSE, IoOp.READ, IoOp.WRITE, Caller.PROG, Caller.CTX
+_DECIDERS = (_CLOSE,) + _ALLOCATORS
+_STATE_READ = get_mstate()
 
 
 @dataclass(frozen=True)
@@ -91,14 +96,14 @@ class SecureIoLib:
     desc: MStateDesc
 
     def call(self, op: IoOp, arg) -> Comp:
-        arg = canon_arg(op, arg)
+        arg = canon_arg(op, arg)  # rejects anything but an `IoOp`
 
         def decide(state):
             if self.policy(state, op, arg):
-                return call_io(Caller.CTX, op, arg, via_monitor=True)
+                return Call(_CTX, op, arg, True)
             return Ret(contract_failure(f"policy:{op.value}"))
 
-        return bind(get_mstate(), decide)
+        return Bind(_STATE_READ, decide)
 
 
 def enforce_policy(policy: Policy, desc: MStateDesc) -> SecureIoLib:
@@ -154,7 +159,7 @@ class Written:
         return Written(fd, self, index)
 
 
-@dataclass(frozen=True)
+@record
 class WebServerState:
     """Summary for the web-server policy: context-opened descriptors, the
     responded-to-latest-request flag, and every descriptor ever written."""
@@ -162,11 +167,6 @@ class WebServerState:
     ctx_opened: tuple[int, ...] = ()
     responded: bool = False
     written: Written = field(default_factory=Written)
-
-
-# Hoisted: each `IoOp.X` lookup costs ~0.15 µs on Python 3.11.
-_CLOSE, _READ, _WRITE, _PROG, _CTX = IoOp.CLOSE, IoOp.READ, IoOp.WRITE, Caller.PROG, Caller.CTX
-_DECIDERS = (_CLOSE,) + _ALLOCATORS
 
 
 def _opener_step(owner, e: Event):
@@ -181,22 +181,35 @@ def _opener_step(owner, e: Event):
 
 
 # Derived from the trace oracles' view (`is_opened_by_ctx`, `wrote_to`,
-# `did_not_respond`), not from `_ws_upd`: live descriptor -> opener, every
+# `did_not_respond`), not from `_ws_upd`: the context-opened view of the
+# owner map (each live descriptor the context opened -> `CTX`), every
 # descriptor written to, and the responded flag.
 _WS_ALPHA_INIT = ({}, Written(), False)
 
 
 def _ws_alpha_step(a, e: Event):
-    """One event folded in; `a` itself when the event changes nothing."""
+    """One event folded in; `a` itself when the event changes nothing.  The
+    owner step is `_opener_step` projected on the context: a successful
+    context allocation adds its descriptor, any other successful allocation
+    or close removes it."""
     owner, written, responded = a
-    if e.op is _READ and is_ok(e.result):
-        responded = False
-    elif e.op is _WRITE:
+    op = e.op
+    if op is _WRITE:
         written, responded = written.add(e.arg[0]), responded or e.caller is _PROG
-    new_owner = _opener_step(owner, e)
-    if new_owner is owner and written is a[1] and responded is a[2]:
+    elif isinstance(e.result, Ok):
+        if op is _READ:
+            responded = False
+        elif op in _DECIDERS:
+            fd, by_ctx = (e.arg, False) if op is _CLOSE else (e.result.value, e.caller is _CTX)
+            if by_ctx is not (fd in owner):
+                owner = {**owner}
+                if by_ctx:
+                    owner[fd] = _CTX
+                else:
+                    del owner[fd]
+    if owner is a[0] and written is a[1] and responded is a[2]:
         return a
-    return new_owner, written, responded
+    return owner, written, responded
 
 
 def _ws_agree():
@@ -224,17 +237,16 @@ def _ws_agree():
 
 def _ws_upd(s: WebServerState, e: Event) -> WebServerState:
     opened, responded, written = s.ctx_opened, s.responded, s.written
-    if isinstance(e.result, Ok):
-        if e.op in _ALLOCATORS:
-            fd = e.result.value
-            opened = tuple(x for x in opened if x != fd) + ((fd,) if e.caller is _CTX else ())
-        elif e.op is _CLOSE:
-            opened = tuple(x for x in opened if x != e.arg)
-        elif e.op is _READ:
+    op = e.op
+    if op is _WRITE:
+        written, responded = written.add(e.arg[0]), responded or e.caller is _PROG
+    elif isinstance(e.result, Ok):
+        if op is _READ:
             responded = False
-    if e.op is _WRITE:
-        responded = responded or e.caller is _PROG
-        written = written.add(e.arg[0])
+        elif op in _DECIDERS:
+            fd, by_ctx = (e.arg, False) if op is _CLOSE else (e.result.value, e.caller is _CTX)
+            if by_ctx or fd in opened:
+                opened = tuple(x for x in opened if x != fd) + ((fd,) if by_ctx else ())
     if responded is s.responded and written is s.written and opened == s.ctx_opened:
         return s
     return WebServerState(opened, responded, written)

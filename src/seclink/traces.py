@@ -16,7 +16,10 @@ from collections.abc import Sequence
 from itertools import chain
 from typing import Any, Callable, Iterable
 
-from .effects import Caller, Event, IoOp, Ok, Trace, is_ok
+from .effects import Caller, Event, IoOp, Ok, Trace
+
+# Hoisted (see the note in `effects`).
+_READ, _WRITE, _CLOSE, _PROG, _CTX = IoOp.READ, IoOp.WRITE, IoOp.CLOSE, Caller.PROG, Caller.CTX
 
 # (history, caller, op, arg) -> allowed?
 PolicySpec = Callable[[Trace, Caller, IoOp, Any], bool]
@@ -64,9 +67,10 @@ def every_request_gets_a_response(lt: Iterable[Event]) -> bool:
     """
     pending: set[int] = set()
     for e in lt:
-        if e.op is IoOp.READ and e.caller is Caller.PROG and is_ok(e.result):
+        op = e.op
+        if op is _READ and e.caller is _PROG and isinstance(e.result, Ok):
             pending.add(e.arg)
-        elif e.op is IoOp.WRITE:
+        elif op is _WRITE:
             pending.discard(e.arg[0])
     return not pending
 
@@ -99,14 +103,14 @@ def is_open(fd: int, h: Trace) -> bool:
 
 
 def is_opened_by_ctx(fd: int, h: Trace) -> bool:
-    return _opener(fd, h) is Caller.CTX
+    return _opener(fd, h) is _CTX
 
 
 def is_opened_by_prog(fd: int, h: Trace) -> bool:
-    return _opener(fd, h) is Caller.PROG
+    return _opener(fd, h) is _PROG
 
 
-# A tuple: `in` tests identity first, where a frozenset calls `Enum.__hash__`.
+# A tuple: `in` tests each member by identity first.
 _ALLOCATORS = (IoOp.OPENFILE, IoOp.SOCKET, IoOp.ACCEPT)
 
 
@@ -115,7 +119,7 @@ def _opener(fd: int, h: Trace) -> Caller | None:
     # a successful allocation (open/socket/accept) reveals its owner.
     for e in h:
         op = e.op
-        if op is IoOp.CLOSE:
+        if op is _CLOSE:
             if e.arg == fd and isinstance(e.result, Ok):
                 return None
         elif op in _ALLOCATORS and isinstance(e.result, Ok) and e.result.value == fd:
@@ -126,13 +130,14 @@ def _opener(fd: int, h: Trace) -> Caller | None:
 def did_not_respond(h: Trace) -> bool:
     """No trusted-side write since the most recent successful read."""
     for e in h:
-        if e.op is IoOp.WRITE and e.caller is Caller.PROG:
+        op = e.op
+        if op is _WRITE and e.caller is _PROG:
             return False
-        if e.op is IoOp.READ and is_ok(e.result):
+        if op is _READ and isinstance(e.result, Ok):
             return True
     return True
 
 
 def wrote_to(fd: int, events: Iterable[Event]) -> bool:
     """Some write (any caller, any outcome) targeted `fd`."""
-    return any(e.op is IoOp.WRITE and e.arg[0] == fd for e in events)
+    return any(e.op is _WRITE and e.arg[0] == fd for e in events)

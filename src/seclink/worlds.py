@@ -27,6 +27,10 @@ from .effects import Caller, Err, ErrCode, IoOp, Ok, Result
 STDOUT_FD = 1
 _FIRST_FD = 3
 
+# Results are immutable: the common ones are shared, not built per step.
+_OK_UNIT, _EBADF = Ok(()), Err(ErrCode.EBADF)
+_ENOENT, _EWOULDBLOCK = Err(ErrCode.ENOENT), Err(ErrCode.EWOULDBLOCK)
+
 
 @dataclass
 class FileFd:
@@ -195,7 +199,7 @@ def _openfile(world: World, arg) -> Result:
         if "O_CREAT" in flags:
             world.files[path] = b""
         else:
-            return Err(ErrCode.ENOENT)
+            return _ENOENT
     return Ok(_alloc(world, FileFd(path, 0)))
 
 
@@ -204,9 +208,9 @@ def _on_socket(act):
     def handle(world: World, arg) -> Result:
         entry = world.fds.get(arg[0])
         if not isinstance(entry, SocketFd):
-            return Err(ErrCode.EBADF)
+            return _EBADF
         act(entry)
-        return Ok(())
+        return _OK_UNIT
 
     return handle
 
@@ -214,9 +218,9 @@ def _on_socket(act):
 def _accept(world: World, fd) -> Result:
     entry = world.fds.get(fd)
     if not isinstance(entry, SocketFd) or not entry.listening:
-        return Err(ErrCode.EBADF)
+        return _EBADF
     if world.next_request >= len(world.requests):
-        return Err(ErrCode.EWOULDBLOCK)
+        return _EWOULDBLOCK
     _client_id, raw = world.requests[world.next_request]
     world.next_request += 1
     return Ok(_alloc(world, ClientFd(raw)))
@@ -229,7 +233,7 @@ def _select(world: World, arg) -> Result:
         if isinstance(world.fds.get(fd), ClientFd) and world.fds[fd].pending
     ]
     if not ready:
-        return Err(ErrCode.EWOULDBLOCK)
+        return _EWOULDBLOCK
     return Ok(ready[0])
 
 
@@ -242,28 +246,28 @@ def _read(world: World, fd) -> Result:
         return Ok(data)
     if isinstance(entry, ClientFd):
         if not entry.pending:
-            return Err(ErrCode.EWOULDBLOCK)
+            return _EWOULDBLOCK
         data, entry.pending = entry.pending, b""
         return Ok(data)
-    return Err(ErrCode.EBADF)
+    return _EBADF
 
 
 def _write(world: World, arg) -> Result:
     fd, data = arg
     entry = world.fds.get(fd)
     if entry is None or isinstance(entry, SocketFd):
-        return Err(ErrCode.EBADF)
+        return _EBADF
     if isinstance(entry, FileFd):
         entry.cursor = len(_append(world.files, entry.path, data))
     _append(world.written, fd, data)
-    return Ok(())
+    return _OK_UNIT
 
 
 def _close(world: World, fd) -> Result:
     if fd not in world.fds or isinstance(world.fds[fd], ConsoleFd):
-        return Err(ErrCode.EBADF)
+        return _EBADF
     del world.fds[fd]
-    return Ok(())
+    return _OK_UNIT
 
 
 _STEPS = _ByOp({
@@ -271,7 +275,7 @@ _STEPS = _ByOp({
     IoOp.SOCKET: lambda world, arg: Ok(_alloc(world, SocketFd())),
     **dict.fromkeys((IoOp.SETSOCKOPT, IoOp.BIND), _on_socket(lambda entry: None)),
     IoOp.LISTEN: _on_socket(lambda entry: setattr(entry, "listening", True)),
-    IoOp.SETNONBLOCK: lambda world, fd: Ok(()) if fd in world.fds else Err(ErrCode.EBADF),
+    IoOp.SETNONBLOCK: lambda world, fd: _OK_UNIT if fd in world.fds else _EBADF,
     IoOp.ACCEPT: _accept,
     IoOp.SELECT: _select,
     IoOp.READ: _read,

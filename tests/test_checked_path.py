@@ -267,3 +267,28 @@ def test_state_read_after_an_event_scans_no_owner_map(n):
     run = interpret(whole, world, desc)
     assert run.result == n and run.audit_ok
     assert log.count("read") > 2 * n and 0 < len(scans) < log.count("event")
+
+
+def test_owner_map_changes_only_at_context_opens_and_closes():
+    # the fold keeps the context-opened view: trusted accepts and closes,
+    # and failed or denied calls, leave the owner map as it was
+    ws, changed_at, n = webserver_mstate(), [], 50
+
+    def step(a, e):
+        b = ws.alpha_step(a, e)
+        if b[0] is not a[0]:
+            changed_at.append(e)
+        return b
+
+    bundle = webserver_bundle()
+    world = make_world(
+        files={"/temp/index.html": b"<h1>hi</h1>"},
+        requests=[(i, REQ) for i in range(n)],
+        max_iterations=n,
+    )
+    whole = link_whole(bundle, bundle.context("benign"), prog=bundle.prog_for_budget(n))
+    run = interpret(whole, world, replace(ws, alpha_step=step, abstracts=None))
+    assert run.result == n and run.audit_ok
+    ctx_open_close = [e for e in run.local if e.caller is Caller.CTX and e.op in (IoOp.OPENFILE, IoOp.CLOSE)]
+    assert len(ctx_open_close) == 2 * n
+    assert changed_at == ctx_open_close

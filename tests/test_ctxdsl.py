@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 from pathlib import Path
 
 import oracles
@@ -676,3 +677,18 @@ def test_deep_pure_terms_run_as_deep_as_they_parse():
             rejected = mid
     fn = load(chain(accepted), td)(None)
     assert interpret(fn.fn(DUnit()), make_world(), stateless_mstate()).result == DInt(accepted - 1)
+
+
+def test_typecheck_is_linear_in_nested_binders():
+    # one environment cell and one path cell per binder; the path is joined
+    # only when an error is raised
+    def best_of_5(k):
+        term = parse("\\u:unit. " + "".join(f"let a{i} = {i} in " for i in range(k)) + f"a{k - 1}")
+        td, times = ArrowT((UnitT(),), IntT()), []
+        for _ in range(5):
+            start = time.perf_counter()
+            typecheck(term, td)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_5(800) < 8 * best_of_5(200)

@@ -131,11 +131,10 @@ class ArrowT(TypeDesc):
 def strip_specs(td: TypeDesc) -> TypeDesc:
     """Erase contract declarations, keeping only the type structure."""
     if isinstance(td, ArrowT):
-        return ArrowT(tuple(strip_specs(d) for d in td.doms), strip_specs(td.cod), None)
-    if isinstance(td, PairT):
-        return PairT(strip_specs(td.fst), strip_specs(td.snd))
-    if isinstance(td, EitherT):
-        return EitherT(strip_specs(td.left), strip_specs(td.right))
+        *doms, cod = map(strip_specs, components(td))
+        return ArrowT(tuple(doms), cod)
+    if isinstance(td, (PairT, EitherT)):
+        return type(td)(*map(strip_specs, components(td)))
     return td
 
 

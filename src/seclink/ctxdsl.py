@@ -791,7 +791,7 @@ def _wrap(text: str, needed: bool) -> str:
     return f"({text})" if needed else text
 
 
-_UNESCAPES = {b"\n": "\\n", b"\r": "\\r", b"\t": "\\t", b'"': '\\"', b"\\": "\\\\"}
+_UNESCAPES = {raw: "\\" + esc for esc, raw in _ESCAPES.items()}
 
 
 def _escape(data: bytes) -> str:

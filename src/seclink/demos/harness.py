@@ -25,10 +25,11 @@ from ..linker import (
     link_target,
 )
 from ..monitor import enforce_policy
-from ..traces import enforced_locally, in_folder
+from ..traces import enforced_locally
 from ..worlds import World, make_world
 from . import logging_lib, webserver, ziplib
 from .dsl_handlers import DSL_HANDLER_SOURCES
+from .webserver import DEFAULT_REQUEST_BUDGET, allow_all_in_tmp_policy, allow_all_in_tmp_spec
 
 PROG_FIRST = "prog-first"
 CTX_FIRST = "ctx-first"
@@ -133,7 +134,7 @@ def webserver_worlds() -> list[World]:
         [(1, _MISSING), (2, _INDEX), (3, b""), (4, _ESCAPE), (5, _INDEX)],
         [(i, _INDEX if i % 2 else _JUNK) for i in range(1, 7)],
     ]
-    return [make_world(files=dict(_PAGES), requests=r, max_iterations=16) for r in reqs]
+    return [make_world(files=dict(_PAGES), requests=r, max_iterations=DEFAULT_REQUEST_BUDGET) for r in reqs]
 
 
 def logging_worlds() -> list[World]:
@@ -153,34 +154,8 @@ def zip_worlds() -> list[World]:
 
 
 # ---------------------------------------------------------------------------
-# Alternative policy available by name
+# Web-server policies available by name
 # ---------------------------------------------------------------------------
-
-
-def allow_all_in_tmp_spec(h, caller, op, arg) -> bool:
-    """Laxer variant: the context may also write to its own files."""
-    from ..traces import is_opened_by_ctx
-
-    if caller is Caller.CTX:
-        if op is IoOp.OPENFILE:
-            return in_folder(arg[0], "/temp")
-        if op in (IoOp.READ, IoOp.CLOSE):
-            return is_opened_by_ctx(arg, h)
-        if op is IoOp.WRITE:
-            return is_opened_by_ctx(arg[0], h)
-        return False
-    return op is IoOp.WRITE
-
-
-def allow_all_in_tmp_policy(s, op: IoOp, arg) -> bool:
-    if op is IoOp.OPENFILE:
-        return in_folder(arg[0], "/temp")
-    if op in (IoOp.READ, IoOp.CLOSE):
-        return arg in s.ctx_opened
-    if op is IoOp.WRITE:
-        return arg[0] in s.ctx_opened
-    return False
-
 
 WEBSERVER_POLICIES = ("webserver", "allow_all_in_tmp")
 

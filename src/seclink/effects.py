@@ -12,9 +12,9 @@ Context code is meant to reach IO only through the secure library handle
 from `seclink.monitor`, which tags the node as monitor-mediated so the
 interpreter can audit the discipline.  The tags are a convention, not
 provenance: `call_io` is public, so a host closure can build a monitor-tagged
-context call itself, skip the policy and pass the audit.  Until the loop
-marks where a call was built (ROADMAP, plugin containment), only the
-`policy-locally-enforced` verdict catches that.
+context call, which only `policy-locally-enforced` catches, or a program call,
+which passes every verdict, until the loop marks where a call was built
+(ROADMAP, plugin containment).
 """
 
 from __future__ import annotations

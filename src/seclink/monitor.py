@@ -59,14 +59,16 @@ class MStateDesc(Generic[S]):
     alpha_init: Any
     alpha_step: Callable[[Any, Event], Any]
     agree: Callable[[S, Any], bool]
-    # (state, history) -> faithful?  Derived from the fold when None;
-    # `dataclasses.replace` carries it over unchanged.
+    # (state, history) -> faithful?  Derived from the fold when None, or when
+    # `dataclasses.replace` carries over another descriptor's derived one.
     abstracts: Callable[[S, Trace], bool] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.abstracts is None:
-            derived = lambda s, h: self.agree(s, abstraction(self, reversed(h)))
-            object.__setattr__(self, "abstracts", derived)
+        if self.abstracts is None or getattr(self.abstracts, "__func__", None) is MStateDesc._folded:
+            object.__setattr__(self, "abstracts", self._folded)
+
+    def _folded(self, s: S, h: Trace) -> bool:
+        return self.agree(s, abstraction(self, reversed(h)))
 
 
 def replay(desc: MStateDesc, events: Iterable[Event]):

@@ -26,6 +26,7 @@ from .effects import Caller, Err, ErrCode, IoOp, Ok, Result
 
 STDOUT_FD = 1
 _FIRST_FD = 3
+DEFAULT_MAX_ITERATIONS = 8
 
 # Results are immutable: the common ones are shared, not built per step.
 _OK_UNIT, _EBADF = Ok(()), Err(ErrCode.EBADF)
@@ -57,7 +58,7 @@ class ConsoleFd:
 class World:
     files: dict[str, bytes] = field(default_factory=dict)
     requests: list[tuple[int, bytes]] = field(default_factory=list)
-    max_iterations: int = 8
+    max_iterations: int = DEFAULT_MAX_ITERATIONS
     fds: dict[int, object] = field(default_factory=lambda: {STDOUT_FD: ConsoleFd()})
     next_fd: int = _FIRST_FD
     next_request: int = 0
@@ -77,7 +78,7 @@ class World:
         )
 
 
-def make_world(files=None, requests=None, max_iterations=8) -> World:
+def make_world(files=None, requests=None, max_iterations=DEFAULT_MAX_ITERATIONS) -> World:
     return World(
         files=dict(files or {}),
         requests=[(int(cid), bytes(raw)) for cid, raw in (requests or [])],
@@ -121,7 +122,7 @@ def load_scenario(text: str) -> World:
         if type(req["client_id"]) is not int:  # also rejects true/false
             raise ScenarioError(f"request {i}: client_id must be an integer")
         decoded_requests.append((req["client_id"], raw))
-    max_iterations = data.get("max_iterations", 8)
+    max_iterations = data.get("max_iterations", DEFAULT_MAX_ITERATIONS)
     if type(max_iterations) is not int or max_iterations < 0:
         raise ScenarioError('"max_iterations" must be a non-negative integer')
     return make_world(decoded_files, decoded_requests, max_iterations)
@@ -173,24 +174,6 @@ class _ByOp(dict):
 
     def __missing__(self, op):
         raise ValueError(f"unknown op {op!r}")
-
-
-_open_fields = _fields(str, tuple, int)
-_CANON = _ByOp({
-    IoOp.OPENFILE: lambda arg: (arg, (), 0) if isinstance(arg, str) else _open_fields(arg),
-    IoOp.WRITE: _fields(int, bytes),
-    **dict.fromkeys((IoOp.READ, IoOp.CLOSE, IoOp.ACCEPT, IoOp.SETNONBLOCK), int),
-    IoOp.SOCKET: lambda arg: (),
-    IoOp.SETSOCKOPT: _fields(int, str, lambda value: value),
-    IoOp.BIND: _fields(int, str, int),
-    IoOp.LISTEN: _fields(int, int),
-    IoOp.SELECT: lambda arg: tuple(int(fd) for fd in arg),
-})
-
-
-def canon_arg(op: IoOp, arg):
-    """Normalise an op argument to its canonical hashable form."""
-    return _CANON[op](arg)
 
 
 def _openfile(world: World, arg) -> Result:
@@ -270,18 +253,30 @@ def _close(world: World, fd) -> Result:
     return _OK_UNIT
 
 
-_STEPS = _ByOp({
-    IoOp.OPENFILE: _openfile,
-    IoOp.SOCKET: lambda world, arg: Ok(_alloc(world, SocketFd())),
-    **dict.fromkeys((IoOp.SETSOCKOPT, IoOp.BIND), _on_socket(lambda entry: None)),
-    IoOp.LISTEN: _on_socket(lambda entry: setattr(entry, "listening", True)),
-    IoOp.SETNONBLOCK: lambda world, fd: _OK_UNIT if fd in world.fds else _EBADF,
-    IoOp.ACCEPT: _accept,
-    IoOp.SELECT: _select,
-    IoOp.READ: _read,
-    IoOp.WRITE: _write,
-    IoOp.CLOSE: _close,
-})
+_open_fields = _fields(str, tuple, int)
+
+# One row per op: (canonicaliser of its argument, its step on the world).
+_OPS = {
+    IoOp.OPENFILE: (lambda arg: (arg, (), 0) if isinstance(arg, str) else _open_fields(arg), _openfile),
+    IoOp.SOCKET: (lambda arg: (), lambda world, arg: Ok(_alloc(world, SocketFd()))),
+    IoOp.SETSOCKOPT: (_fields(int, str, lambda value: value), _on_socket(lambda entry: None)),
+    IoOp.BIND: (_fields(int, str, int), _on_socket(lambda entry: None)),
+    IoOp.LISTEN: (_fields(int, int), _on_socket(lambda entry: setattr(entry, "listening", True))),
+    IoOp.SETNONBLOCK: (int, lambda world, fd: _OK_UNIT if fd in world.fds else _EBADF),
+    IoOp.ACCEPT: (int, _accept),
+    IoOp.SELECT: (lambda arg: tuple(int(fd) for fd in arg), _select),
+    IoOp.READ: (int, _read),
+    IoOp.WRITE: (_fields(int, bytes), _write),
+    IoOp.CLOSE: (int, _close),
+}
+# Split once, so each event costs one dict lookup per table and no tuple index.
+_CANON = _ByOp({op: row[0] for op, row in _OPS.items()})
+_STEPS = _ByOp({op: row[1] for op, row in _OPS.items()})
+
+
+def canon_arg(op: IoOp, arg):
+    """Normalise an op argument to its canonical hashable form."""
+    return _CANON[op](arg)
 
 
 def step(world: World, caller: Caller, op: IoOp, arg) -> Result:

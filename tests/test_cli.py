@@ -194,6 +194,19 @@ def test_unknown_policy_is_a_usage_error(scenario, capsys):
     assert main(argv + ["--policy", "allow_all_in_tmp"]) == 0
 
 
+@pytest.mark.parametrize("check", ["audit", "all"])
+def test_run_with_audit_and_all_checks(scenario, check, capsys):
+    argv = ["run", "--scenario", scenario, "--program", "webserver", "--context", "benign"]
+    assert main(argv + ["--check", check]) == 0
+    assert f"property {check} holds" in capsys.readouterr().out
+
+
+def test_policy_on_a_non_webserver_program_is_a_usage_error(scenario, capsys):
+    argv = ["run", "--scenario", scenario, "--program", "zip", "--context", "benign"]
+    assert main(argv + ["--policy", "allow_all_in_tmp"]) == 2
+    assert "--policy applies to the webserver bundle only" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_bundle_rejects_samples_below_one(samples, capsys):
     with pytest.raises(SystemExit) as exc:

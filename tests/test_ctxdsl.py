@@ -20,6 +20,7 @@ from seclink.contracts import (
     DInt,
     DLeft,
     DPair,
+    DRight,
     DUnit,
     EitherT,
     ErrT,
@@ -460,6 +461,53 @@ def test_translate_rejects_toplevel_effects():
     fn = translate(parse("let k = 3 in \\x:int. inl k"), ArrowT((IntT(),), EitherT(IntT(), ErrT())))(lib)
     assert isinstance(fn, DClosure)
     assert interpret(fn.fn(DInt(1)), make_world(), stateless_mstate()).result == DLeft(DInt(3))
+
+
+# -- boundary adapters: n-ary arrows as the language's curried ones -------------
+
+_INT_RESULT = EitherT(IntT(), ErrT())
+_BINARY = ArrowT((IntT(), IntT()), _INT_RESULT)
+_ADD = DClosure(lambda a, b: ret(DLeft(DInt(a.n + b.n))))  # a trusted binary function
+
+
+def _run(comp, lib=None):
+    return interpret(comp, make_world(), lib.desc if lib else stateless_mstate())
+
+
+def test_context_applies_a_binary_trusted_function():
+    ctx = load("\\f:(int -> int -> either int err). f 1 2", ArrowT((_BINARY,), _INT_RESULT))(None)
+    assert _run(ctx.fn(_ADD)).result == DLeft(DInt(3))
+
+
+def test_binary_function_returned_in_a_pair():
+    pair = load("(\\x:int. \\y:int. inl y, 7)", PairT(_BINARY, IntT()))(None)
+    assert isinstance(pair.fst, DClosure) and pair.snd == DInt(7)
+    assert _run(pair.fst.fn(DInt(3), DInt(4))).result == DLeft(DInt(4))
+
+
+def test_binary_function_returned_in_a_sum():
+    value = load("inl (\\x:int. \\y:int. inl y)", EitherT(_BINARY, IntT()))(None)
+    assert isinstance(value, DLeft)
+    assert _run(value.value.fn(DInt(1), DInt(5))).result == DLeft(DInt(5))
+
+
+def test_binary_trusted_function_inside_a_pair_or_sum_argument():
+    in_pair = "\\p:(int -> int -> either int err) * int. fst p (snd p) 2"
+    ctx = load(in_pair, ArrowT((PairT(_BINARY, IntT()),), _INT_RESULT))(None)
+    assert _run(ctx.fn(DPair(_ADD, DInt(5)))).result == DLeft(DInt(7))
+    in_sum = "\\s:either (int -> int -> either int err) int. case s of inl f => f 1 2 | inr n => inl n"
+    ctx = load(in_sum, ArrowT((EitherT(_BINARY, IntT()),), _INT_RESULT))(None)
+    assert _run(ctx.fn(DLeft(_ADD))).result == DLeft(DInt(3))
+    assert _run(ctx.fn(DRight(DInt(9)))).result == DLeft(DInt(9))
+    assert load("inr 9", EitherT(_BINARY, IntT()))(None) == DRight(DInt(9))
+
+
+def test_effect_between_curried_arguments():
+    lib = enforce_policy(lambda s, op, a: True, stateless_mstate())
+    fn = load("\\x:int. let s = io Socket () in \\y:int. inl y", _BINARY)(lib)
+    run = _run(fn.fn(DInt(1), DInt(2)), lib)
+    assert run.result == DLeft(DInt(2))
+    assert [e.render() for e in run.local] == ["Ctx Socket () -> Ok(3)"]
 
 
 def test_curried_view_of_handler_type():

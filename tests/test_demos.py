@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from seclink.contracts import DBytes, DClosure, EmptyNode, Leaf
+from seclink.contracts import DBytes, DClosure, DInt, EmptyNode, Leaf
 from seclink.demos import (
     BUNDLES,
     attribute_mechanism,
@@ -22,6 +22,7 @@ from seclink.demos.harness import webserver_interface
 from seclink.effects import Caller, IoOp, bind, call_io
 from seclink.httputil import http_ok, valid_http_request, valid_http_response
 from seclink.interp import interpret
+from seclink.linker import LINK_FAILURE_EXIT
 from seclink.traces import enforced_locally
 from seclink.worlds import make_world
 
@@ -160,6 +161,39 @@ def test_forged_monitor_tag_fails_only_local_enforcement(ws_bundle):
     }
     ctx_opens = [e.arg[0] for e in report.run.local if e.caller is Caller.CTX and e.op is IoOp.OPENFILE]
     assert "/etc/passwd" in ctx_opens
+
+
+def test_program_tagged_call_from_context_evades_every_verdict(ws_bundle):
+    # Pins a known gap, not a guarantee: a host closure that tags its own
+    # call as the program's is judged as trusted code.  The policy never
+    # sees the call, the audit has no context call to check, and local
+    # enforcement skips program events, so every scenario verdict passes.
+    # Provenance (ROADMAP, plugin containment) must assign a call built
+    # under the import's guard to the context, whatever its tag.
+    def prog_tagging_handler(_lib):
+        def run(_client, _req, send):
+            disguised = call_io(Caller.PROG, IoOp.OPENFILE, ("/etc/passwd", (), 0))
+            return bind(disguised, lambda _r: send.fn(DBytes(http_ok(b"x"))))
+
+        return DClosure(run)
+
+    bundle = dataclasses.replace(ws_bundle, contexts={"disguiser": prog_tagging_handler})
+    report = run_scenario(bundle, "disguiser", bundle.worlds[1], 1)
+    assert report.verdicts == {
+        "capability-audit": True,
+        "whole-run-post": True,
+        "policy-locally-enforced": True,
+    }
+    assert "Prog Openfile ('/etc/passwd', (), 0) -> Err(ENOENT)" in [e.render() for e in report.run.local]
+
+
+def test_non_closure_context_fails_to_link_on_both_routes(ws_bundle):
+    not_a_handler = lambda _lib: DInt(3)
+    for route in ("target", "source"):
+        whole = link_whole(ws_bundle, not_a_handler, route=route)
+        run = interpret(whole, ws_bundle.worlds[1], ws_bundle.interface.mstate)
+        assert (run.result, run.local) == (LINK_FAILURE_EXIT, ()), route
+    assert attribute_mechanism(ws_bundle.interface, not_a_handler) == "import:arrow:handler"
 
 
 def test_logging_alternation_trace():

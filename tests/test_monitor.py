@@ -121,6 +121,18 @@ def test_perturbed_states_do_not_abstract(desc):
     assert checked >= 200
 
 
+def test_replace_rederives_a_derived_abstracts_and_keeps_an_explicit_one():
+    desc = webserver_mstate()
+    assert desc.abstracts(desc.init, ())
+    never = replace(desc, agree=lambda s, a: False)
+    assert not never.abstracts(never.init, ())
+    assert replace(never, agree=desc.agree).abstracts(desc.init, ())
+    explicit = lambda s, h: "explicit"
+    kept = replace(replace(desc, abstracts=explicit), agree=lambda s, a: False)
+    assert kept.abstracts is explicit
+    assert replace(kept, abstracts=None).abstracts(kept.init, ()) is False
+
+
 def test_webserver_upd_examples():
     desc = webserver_mstate()
     opened = desc.upd(desc.init, Event(Caller.CTX, IoOp.OPENFILE, ("/temp/a", (), 0), Ok(5)))

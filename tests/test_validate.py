@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from seclink.contracts import Node
-from seclink.demos import BUNDLES, webserver_bundle
+from seclink.contracts import EmptyNode, Leaf, Node
+from seclink.demos import BUNDLES, webserver, webserver_bundle
 from seclink.linker import SourceInterface
+from seclink.traces import wrote_to
 from seclink.validate import collect_specced_arrows, validate_interface
 
 
@@ -42,6 +45,38 @@ def test_weakened_result_check_is_caught():
     outcome = validate_interface(iface, samples=1500, seed=5)
     assert not outcome.ok
     assert any(c.constraint == "c1_post" and c.arrow == "handler" for c in outcome.counterexamples)
+
+
+def _with_send(iface, *, check=None, spec=None):
+    """`iface` with the send arrow's check or declared spec replaced."""
+    fd, req, send = iface.ctype.doms
+    if spec is not None:
+        send = replace(send, spec=replace(send.spec, **spec))
+    cks = iface.cks
+    if check is not None:
+        cks = Node(cks.ck, EmptyNode(Leaf(), EmptyNode(Leaf(), Node(check, Leaf(), Leaf()))), Leaf())
+    return replace(iface, ctype=replace(iface.ctype, doms=(fd, req, send)), cks=cks)
+
+
+def _with_handler_post(iface, post):
+    return replace(iface, ctype=replace(iface.ctype, spec=replace(iface.ctype.spec, post=post)))
+
+
+# Each weakening breaks one constraint, and the suite names that one.
+@pytest.mark.parametrize(
+    "weaken, arrow, constraint",
+    [
+        (lambda i: _with_send(i, check=lambda *a: True), "send", "c_pre"),
+        (lambda i: _with_send(i, spec={"post": lambda *a: True}), "send", "c_post"),
+        (lambda i: _with_handler_post(i, lambda args, h, r, lt: wrote_to(args[0], lt)), "handler", "c2_post"),
+    ],
+    ids=["send-check-always-true", "send-post-always-true", "handler-post-without-error-case"],
+)
+def test_each_weakened_constraint_is_caught(weaken, arrow, constraint):
+    iface = weaken(webserver.interface())
+    outcome = validate_interface(iface, samples=300, seed=5)
+    found = {(c.arrow, c.constraint) for c in outcome.counterexamples}
+    assert (arrow, constraint) in found, outcome.render_text()
 
 
 def test_collect_finds_nested_arrows():

@@ -6,6 +6,9 @@ its dynamic form; `import_value` goes the other way and can fail.  At
 function types the two are mutually recursive: an exported function imports
 its arguments and exports its result, an imported function exports its
 arguments and imports its result, so wrappers accumulate at each crossing.
+Both are staged once per (type, check tree), when an arrow is exported or
+imported, not walked per crossing: linking builds, say, the exporter of the
+web server's `send` callback, so one export of `send` allocates two closures.
 
 Checks are boolean predicates over two monitor-state snapshots.  They are
 arranged in a tree mirroring the type: a `Node` sits at a function type
@@ -42,7 +45,6 @@ from .effects import (
     Ret,
     contract_failure,
     get_mstate,
-    is_err,
     record,
 )
 
@@ -206,6 +208,14 @@ _BASE_SHAPES = {
 }
 
 
+def _base_importer(t: type, shape: type, native: Callable) -> Callable[[DynValue], Any]:
+    return lambda dv: Ok(native(dv)) if isinstance(dv, shape) else contract_failure(f"import:{t.__name__}")
+
+
+# base type -> its importer; built once, since a base type has no tree to stage
+_BASE_IMPORTERS = {t: _base_importer(t, shape, native) for t, (shape, _, native) in _BASE_SHAPES.items()}
+
+
 # ---------------------------------------------------------------------------
 # Check trees and effectful checks
 # ---------------------------------------------------------------------------
@@ -318,95 +328,130 @@ def shape_matches(td: TypeDesc, tree: CheckTree) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Enforcement combinators
+# Enforcement combinators, staged once per arrow and applied to each `f`
 # ---------------------------------------------------------------------------
+
+
+def _pre_guard(eff_ck: EffCheck, label: str) -> Callable[[Callable[..., Comp]], Callable[..., Comp]]:
+    ck, failure = eff_ck.ck, Ret(contract_failure(f"pre:{label}"))
+
+    def guard(f):
+        def wrapped(*args):
+            before = lambda s0: Bind(_READ, lambda s1: f(*args) if ck(args, s0, (), s1) else failure)
+            return Bind(_READ, before)
+
+        return wrapped
+
+    return guard
+
+
+def _post_guard(eff_ck: EffCheck, label: str) -> Callable[[Callable[..., Comp]], Callable[..., Comp]]:
+    ck, failure = eff_ck.ck, Ret(contract_failure(f"post:{label}"))
+
+    def guard(f):
+        def wrapped(*args):
+            def before(s0):
+                judge = lambda y: Bind(_READ, lambda s1: Ret(y) if ck(args, s0, y, s1) else failure)
+                return Bind(f(*args), judge)
+
+            return Bind(_READ, before)
+
+        return wrapped
+
+    return guard
+
+
+def _step_guard(f: Callable[..., Comp]) -> Callable[..., Comp]:
+    start = lambda args: f(*args)
+    return lambda *args: Bind(Ret(args), start)
 
 
 def enforce_pre(eff_ck: EffCheck, f: Callable[..., Comp], label: str) -> Callable[..., Comp]:
     """Guard `f` behind the check, read with nothing in between: denial
     returns a contract failure with no events and without calling `f`."""
-    ck, failure = eff_ck.ck, Ret(contract_failure(f"pre:{label}"))
-
-    def wrapped(*args):
-        before = lambda s0: Bind(_READ, lambda s1: f(*args) if ck(args, s0, (), s1) else failure)
-        return Bind(_READ, before)
-
-    return wrapped
+    return _pre_guard(eff_ck, label)(f)
 
 
 def enforce_post(eff_ck: EffCheck, f: Callable[..., Comp], label: str) -> Callable[..., Comp]:
     """Run `f`, then judge its result between the two state snapshots; a
     failed verdict replaces the result with a contract failure."""
-    ck, failure = eff_ck.ck, Ret(contract_failure(f"post:{label}"))
+    return _post_guard(eff_ck, label)(f)
 
-    def wrapped(*args):
-        def before(s0):
-            judge = lambda y: Bind(_READ, lambda s1: Ret(y) if ck(args, s0, y, s1) else failure)
-            return Bind(f(*args), judge)
 
-        return Bind(_READ, before)
-
-    return wrapped
+def _guard(td: ArrowT, cks: CheckTree):
+    """How a call at this arrow starts: behind its check, or after one step;
+    either way once the loop reaches the call, not when it is built."""
+    if not isinstance(cks, Node):
+        return _step_guard
+    if td.spec is None:
+        raise ValueError("check node at an arrow without a spec")
+    eff_ck = cks.ck if isinstance(cks.ck, EffCheck) else EffCheck(cks.ck)
+    return (_pre_guard if td.spec.kind is CheckKind.PRE else _post_guard)(eff_ck, _label(td))
 
 
 # ---------------------------------------------------------------------------
-# Export / import
+# Export / import: projections staged per (type, check tree)
 # ---------------------------------------------------------------------------
 
 
 def export_value(td: TypeDesc, cks: CheckTree, value) -> DynValue:
     """Strong to dynamic.  Total; functions become guarded closures."""
-    base = _BASE_SHAPES.get(type(td))
-    if base is not None:
-        return base[1](value)
-    if isinstance(td, PairT):
-        fst_tree, snd_tree = subtrees(td, cks)
-        return DPair(export_value(td.fst, fst_tree, value[0]), export_value(td.snd, snd_tree, value[1]))
-    if isinstance(td, EitherT):
-        left_tree, right_tree = subtrees(td, cks)
-        if isinstance(value, Ok):
-            return DLeft(export_value(td.left, left_tree, value.value))
-        payload = value if isinstance(td.right, ErrT) else value.code
-        return DRight(export_value(td.right, right_tree, payload))
-    if isinstance(td, ArrowT):
-        return _export_arrow(td, cks, value)
-    raise TypeError(f"unknown type descriptor {td!r}")
+    return _exporter(td, cks)(value)
 
 
 def import_value(td: TypeDesc, cks: CheckTree, dv: DynValue):
     """Dynamic to strong: `Ok(value)` or a contract failure on mismatch."""
+    return _importer(td, cks)(dv)
+
+
+def _exporter(td: TypeDesc, cks: CheckTree) -> Callable[[Any], DynValue]:
     base = _BASE_SHAPES.get(type(td))
     if base is not None:
-        if not isinstance(dv, base[0]):
-            return contract_failure(f"import:{type(td).__name__}")
-        return Ok(base[2](dv))
-    if isinstance(td, PairT):
-        if not isinstance(dv, DPair):
-            return contract_failure("import:PairT")
-        fst_tree, snd_tree = subtrees(td, cks)
-        fst = import_value(td.fst, fst_tree, dv.fst)
-        if is_err(fst):
-            return fst
-        snd = import_value(td.snd, snd_tree, dv.snd)
-        if is_err(snd):
-            return snd
-        return Ok((fst.value, snd.value))
-    if isinstance(td, EitherT):
-        left_tree, right_tree = subtrees(td, cks)
-        if isinstance(dv, DLeft):
-            inner = import_value(td.left, left_tree, dv.value)
-            return Ok(Ok(inner.value)) if not is_err(inner) else inner
-        if isinstance(dv, DRight):
-            inner = import_value(td.right, right_tree, dv.value)
-            if is_err(inner):
-                return inner
-            return Ok(inner.value if isinstance(inner.value, Err) else Err(inner.value))
-        return contract_failure("import:EitherT")
+        return base[1]
     if isinstance(td, ArrowT):
-        if not isinstance(dv, DClosure):
-            return contract_failure(f"import:arrow:{_label(td)}")
-        return Ok(_import_arrow(td, cks, dv))
-    raise TypeError(f"unknown type descriptor {td!r}")
+        return _export_arrow(td, cks)
+    if not isinstance(td, (PairT, EitherT)):
+        raise TypeError(f"unknown type descriptor {td!r}")
+    first, second = map(_exporter, components(td), subtrees(td, cks))
+    if isinstance(td, PairT):
+        return lambda v: DPair(first(v[0]), second(v[1]))
+    whole = isinstance(td.right, ErrT)  # the error side carries the whole `Err`, or its code
+    return lambda v: DLeft(first(v.value)) if isinstance(v, Ok) else DRight(second(v if whole else v.code))
+
+
+def _importer(td: TypeDesc, cks: CheckTree) -> Callable[[DynValue], Any]:
+    base = _BASE_IMPORTERS.get(type(td))
+    if base is not None:
+        return base
+    if isinstance(td, ArrowT):
+        why = f"import:arrow:{_label(td)}"
+        return lambda f: Ok(_import_arrow(td, cks, f)) if isinstance(f, DClosure) else contract_failure(why)
+    if not isinstance(td, (PairT, EitherT)):
+        raise TypeError(f"unknown type descriptor {td!r}")
+    first, second = map(_importer, components(td), subtrees(td, cks))
+    why = f"import:{type(td).__name__}"
+
+    def pair(dv):
+        if not isinstance(dv, DPair):
+            return contract_failure(why)
+        fst = first(dv.fst)
+        if isinstance(fst, Err):
+            return fst
+        snd = second(dv.snd)
+        return snd if isinstance(snd, Err) else Ok((fst.value, snd.value))
+
+    def either(dv):
+        if isinstance(dv, DLeft):
+            inner = first(dv.value)
+            return inner if isinstance(inner, Err) else Ok(Ok(inner.value))
+        if not isinstance(dv, DRight):
+            return contract_failure(why)
+        inner = second(dv.value)
+        if isinstance(inner, Err):
+            return inner
+        return Ok(inner.value if isinstance(inner.value, Err) else Err(inner.value))
+
+    return pair if isinstance(td, PairT) else either
 
 
 def _label(td: ArrowT) -> str:
@@ -417,49 +462,43 @@ def _dyn_failure(e: Err) -> DynValue:
     return DRight(DErr(e.code, e.why))
 
 
-def _export_arrow(td: ArrowT, cks: CheckTree, f: Callable[..., Comp]) -> DClosure:
-    """The context's call enters trusted code at one point: `f`, behind `_apply_node`."""
+def _export_arrow(td: ArrowT, cks: CheckTree) -> Callable[[Callable[..., Comp]], DClosure]:
+    """The context's call enters trusted code at one point: `f`, behind the guard."""
     *arg_trees, cod_tree = subtrees(td, cks)
-    guarded, doms, cod = _apply_node(td, cks, f), td.doms, td.cod
+    importers, export_cod = tuple(map(_importer, td.doms, arg_trees)), _exporter(td.cod, cod_tree)
+    guard, exported = _guard(td, cks), lambda result: Ret(export_cod(result))
+    arity = f"import:arity:{_label(td)}"
 
-    def fn(*dyn_args):
-        if len(dyn_args) != len(doms):
-            return Ret(_dyn_failure(contract_failure(f"import:arity:{_label(td)}")))
-        natives = []
-        for dom, tree, da in zip(doms, arg_trees, dyn_args):
-            imported = import_value(dom, tree, da)
-            if is_err(imported):
-                return Ret(_dyn_failure(imported))
-            natives.append(imported.value)
-        return Bind(guarded(*natives), lambda result: Ret(export_value(cod, cod_tree, result)))
+    def export(f):
+        guarded = guard(f)
 
-    return DClosure(fn)
+        def fn(*dyn_args):
+            if len(dyn_args) != len(importers):
+                return Ret(_dyn_failure(contract_failure(arity)))
+            natives = []
+            for imp, da in zip(importers, dyn_args):
+                imported = imp(da)
+                if isinstance(imported, Err):
+                    return Ret(_dyn_failure(imported))
+                natives.append(imported.value)
+            return Bind(guarded(*natives), exported)
+
+        return DClosure(fn)
+
+    return export
 
 
 def _import_arrow(td: ArrowT, cks: CheckTree, dclo: DClosure) -> Callable[..., Comp]:
-    """Trusted code's call enters the context at one point: `enter`, behind `_apply_node`."""
+    """Trusted code's call enters the context at one point: `enter`, behind the guard."""
     *arg_trees, cod_tree = subtrees(td, cks)
-    doms, cod = td.doms, td.cod
+    exporters, import_cod = tuple(map(_exporter, td.doms, arg_trees)), _importer(td.cod, cod_tree)
+    ctx_fn = dclo.fn
 
     def enter(*natives):
-        dyn_args = [export_value(dom, tree, x) for dom, tree, x in zip(doms, arg_trees, natives)]
-        return Bind(dclo.fn(*dyn_args), imported)
+        return Bind(ctx_fn(*[export(x) for export, x in zip(exporters, natives)]), imported)
 
     def imported(dyn_result):  # failing to import is in-band: codomains include errors
-        outcome = import_value(cod, cod_tree, dyn_result)
-        return Ret(outcome.value if not is_err(outcome) else outcome)
+        outcome = import_cod(dyn_result)
+        return Ret(outcome if isinstance(outcome, Err) else outcome.value)
 
-    return _apply_node(td, cks, enter)
-
-
-def _apply_node(td: ArrowT, cks: CheckTree, f: Callable[..., Comp]) -> Callable[..., Comp]:
-    """`f` behind the check, or one step: run once the loop reaches a call, not when it is built."""
-    if not isinstance(cks, Node):
-        start = lambda args: f(*args)
-        return lambda *args: Bind(Ret(args), start)
-    if td.spec is None:
-        raise ValueError("check node at an arrow without a spec")
-    eff_ck = cks.ck if isinstance(cks.ck, EffCheck) else EffCheck(cks.ck)
-    if td.spec.kind is CheckKind.PRE:
-        return enforce_pre(eff_ck, f, _label(td))
-    return enforce_post(eff_ck, f, _label(td))
+    return _guard(td, cks)(enter)

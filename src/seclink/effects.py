@@ -9,12 +9,12 @@ O(1) per operation at any nesting depth, and no Python recursion.
 
 Caller tags distinguish trusted program code from untrusted context code.
 Context code is meant to reach IO only through the secure library handle
-from `seclink.monitor`, which tags the node as monitor-mediated so the
-interpreter can audit the discipline.  The tags are a convention, not
-provenance: `call_io` is public, so a host closure can build a monitor-tagged
-context call, which only `policy-locally-enforced` catches, or a program call,
-which passes every verdict, until the loop marks where a call was built
-(ROADMAP, plugin containment).
+from `seclink.monitor`, whose node is tagged as monitor-mediated and carries
+the policy the driver decides before the step.  The tags are a convention,
+not provenance: `call_io` is public, so a host closure can build a policy-free
+monitor-tagged context call, which only `policy-locally-enforced` catches, or
+a program call, which passes every verdict, until the loop marks where a call
+was built (ROADMAP, plugin containment).
 """
 
 from __future__ import annotations
@@ -181,6 +181,7 @@ class Call(Comp):
     op: Any  # IoOp or GET_MSTATE
     arg: Any
     via_monitor: bool = field(default=False)
+    policy: Any = None  # (state, op, canonical arg) -> allow?, on a library call
 
 
 @dataclass(slots=True, eq=False)

@@ -2,15 +2,17 @@
 against a world.  It drives `effects.evaluate`, which runs binds and `@do`
 bodies itself, and answers each call it yields: a state read with the
 monitor state, an IO call with one `worlds.step`.  A contract check is two
-such reads around one call of its predicate, with no event of its own.
+such reads around one call of its predicate, with no event of its own.  A
+library call carries its policy, which the loop decides right before the
+step, on the once-canonicalised argument and the current state.
 
 Alongside the world it maintains ghost state: the events of this run and
 the monitor-state value, updated on every recorded event.  In check mode
 (the default) it advances the abstraction fold beside the state and asserts
-that they agree: for the seeded history, after every event and at every
-state read.  It also audits the capability discipline: every context-tagged
-IO call must come through the secure library.  It trusts each call's caller
-and monitor tags, which a host closure can forge either way (see `effects`).
+that they agree: for the seeded history, after every event, and at each
+state read and policy decision.  It also audits the capability discipline:
+every context-tagged IO call must come through the secure library.  It trusts
+each call's caller and monitor tags, which a host closure can forge either way.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .effects import (
     Event,
     IoOp,
     Trace,
+    contract_failure,
     evaluate,
 )
 from .monitor import MStateDesc, abstraction, replay
@@ -74,8 +77,8 @@ def interpret(
     monitored_calls = 0
 
     alpha = abstraction(desc, seed_history) if check else None
-    # hoisted out of the per-event path
-    ctx, canon_arg, step = Caller.CTX, worlds.canon_arg, worlds.step
+    # hoisted out of the per-event path; read per run, so a wrapped `step` is seen
+    ctx, canon, step = Caller.CTX, worlds._CANON, worlds.step
     upd, alpha_step, agree = desc.upd, desc.alpha_step, desc.agree
     if check and not agree(state, alpha):
         raise GhostInvariantError("seeded state does not abstract seeded history")
@@ -105,6 +108,13 @@ def interpret(
 
         if not isinstance(op, IoOp):
             raise TypeError(f"unknown operation {op!r}")
+        arg = canon[op](cur.arg)
+        if cur.policy is not None:
+            if check and not agree(state, alpha):
+                raise GhostInvariantError("state does not abstract history at policy decision")
+            if not cur.policy(state, op, arg):
+                value = contract_failure(f"policy:{op.value}")
+                continue
         caller = cur.caller
         if caller is ctx:
             if check and not cur.via_monitor:
@@ -115,7 +125,6 @@ def interpret(
         if cur.via_monitor:
             monitored_calls += 1
 
-        arg = canon_arg(op, cur.arg)
         value = step(w, caller, op, arg)
         event = Event(caller, op, arg, value)
         local.append(event)

@@ -26,29 +26,14 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Generic, Iterable, TypeVar
 
-from .effects import (
-    Bind,
-    Call,
-    Caller,
-    Comp,
-    Event,
-    IoOp,
-    Ok,
-    Ret,
-    Trace,
-    contract_failure,
-    get_mstate,
-    record,
-)
+from .effects import Call, Caller, Comp, Event, IoOp, Ok, Trace, record
 from .traces import _ALLOCATORS
-from .worlds import canon_arg
 
 S = TypeVar("S")
 
-# Hoisted (see the note in `effects`); one state-read node serves every call.
+# Hoisted (see the note in `effects`).
 _CLOSE, _READ, _WRITE, _PROG, _CTX = IoOp.CLOSE, IoOp.READ, IoOp.WRITE, Caller.PROG, Caller.CTX
 _DECIDERS = (_CLOSE,) + _ALLOCATORS
-_STATE_READ = get_mstate()
 
 
 @dataclass(frozen=True)
@@ -89,23 +74,17 @@ Policy = Callable[[Any, IoOp, Any], bool]
 class SecureIoLib:
     """The only IO capability handed to untrusted code.
 
-    Each call consults the policy against the current monitor state.  An
-    allowed call performs exactly one context-tagged operation; a denied
-    call returns a contract failure and leaves trace and state untouched.
+    A call is one context-tagged node carrying the policy, which the
+    interpreter decides right before the step: an allowed call performs one
+    operation; a denied one returns a contract failure and leaves trace and
+    state untouched.
     """
 
     policy: Policy
     desc: MStateDesc
 
     def call(self, op: IoOp, arg) -> Comp:
-        arg = canon_arg(op, arg)  # rejects anything but an `IoOp`
-
-        def decide(state):
-            if self.policy(state, op, arg):
-                return Call(_CTX, op, arg, True)
-            return Ret(contract_failure(f"policy:{op.value}"))
-
-        return Bind(_STATE_READ, decide)
+        return Call(_CTX, op, arg, True, self.policy)
 
 
 def enforce_policy(policy: Policy, desc: MStateDesc) -> SecureIoLib:

@@ -42,9 +42,10 @@ from seclink.ctxdsl import (
     curried_view,
     typecheck,
 )
-from seclink.contracts import ArrowT, BytesT, EitherT, FdT, IntT, PairT, UnitT
+from seclink.contracts import ArrowT, BytesT, EitherT, ErrT, FdT, IntT, PairT, UnitT
+from seclink.contracts import _BASE_SHAPES, CheckKind, CheckTree, EffCheck, Node, subtrees
 from seclink.effects import Bind, Call, Caller, Comp, Err, ErrCode, Event, IoOp, Ok, Ret, bind, contract_failure
-from seclink.effects import evaluate, is_err, is_ok, ret
+from seclink.effects import evaluate, get_mstate, is_err, is_ok, ret
 from seclink.monitor import MStateDesc, SecureIoLib, replay
 from seclink.validate import _BYTES, _FDS, _PATHS, _RESULTS
 
@@ -328,3 +329,148 @@ class ReferenceSampleSpace:
         s0 = replay(self.desc, h_events)
         s1 = replay(self.desc, h_events + lt_events)
         return s0, s1
+
+
+# ---------------------------------------------------------------------------
+# Reference contracts: `contracts.export_value` / `import_value` and the
+# enforcement combinators before staged projections, kept as written.  Each
+# crossing walks the type and its check tree, and each export of a function
+# rebuilds its check wrapper.
+# ---------------------------------------------------------------------------
+
+
+def reference_export_value(td: TypeDesc, cks: CheckTree, value) -> DynValue:
+    """Strong to dynamic.  Total; functions become guarded closures."""
+    base = _BASE_SHAPES.get(type(td))
+    if base is not None:
+        return base[1](value)
+    if isinstance(td, PairT):
+        fst_tree, snd_tree = subtrees(td, cks)
+        return DPair(
+            reference_export_value(td.fst, fst_tree, value[0]),
+            reference_export_value(td.snd, snd_tree, value[1]),
+        )
+    if isinstance(td, EitherT):
+        left_tree, right_tree = subtrees(td, cks)
+        if isinstance(value, Ok):
+            return DLeft(reference_export_value(td.left, left_tree, value.value))
+        payload = value if isinstance(td.right, ErrT) else value.code
+        return DRight(reference_export_value(td.right, right_tree, payload))
+    if isinstance(td, ArrowT):
+        return _ref_export_arrow(td, cks, value)
+    raise TypeError(f"unknown type descriptor {td!r}")
+
+
+def reference_import_value(td: TypeDesc, cks: CheckTree, dv: DynValue):
+    """Dynamic to strong: `Ok(value)` or a contract failure on mismatch."""
+    base = _BASE_SHAPES.get(type(td))
+    if base is not None:
+        if not isinstance(dv, base[0]):
+            return contract_failure(f"import:{type(td).__name__}")
+        return Ok(base[2](dv))
+    if isinstance(td, PairT):
+        if not isinstance(dv, DPair):
+            return contract_failure("import:PairT")
+        fst_tree, snd_tree = subtrees(td, cks)
+        fst = reference_import_value(td.fst, fst_tree, dv.fst)
+        if is_err(fst):
+            return fst
+        snd = reference_import_value(td.snd, snd_tree, dv.snd)
+        if is_err(snd):
+            return snd
+        return Ok((fst.value, snd.value))
+    if isinstance(td, EitherT):
+        left_tree, right_tree = subtrees(td, cks)
+        if isinstance(dv, DLeft):
+            inner = reference_import_value(td.left, left_tree, dv.value)
+            return Ok(Ok(inner.value)) if not is_err(inner) else inner
+        if isinstance(dv, DRight):
+            inner = reference_import_value(td.right, right_tree, dv.value)
+            if is_err(inner):
+                return inner
+            return Ok(inner.value if isinstance(inner.value, Err) else Err(inner.value))
+        return contract_failure("import:EitherT")
+    if isinstance(td, ArrowT):
+        if not isinstance(dv, DClosure):
+            return contract_failure(f"import:arrow:{_ref_label(td)}")
+        return Ok(_ref_import_arrow(td, cks, dv))
+    raise TypeError(f"unknown type descriptor {td!r}")
+
+
+def _ref_label(td: ArrowT) -> str:
+    return td.spec.label if td.spec is not None else "fn"
+
+
+def _ref_dyn_failure(e: Err) -> DynValue:
+    return DRight(DErr(e.code, e.why))
+
+
+def _ref_export_arrow(td: ArrowT, cks: CheckTree, f) -> DClosure:
+    *arg_trees, cod_tree = subtrees(td, cks)
+    guarded, doms, cod = _ref_apply_node(td, cks, f), td.doms, td.cod
+
+    def fn(*dyn_args):
+        if len(dyn_args) != len(doms):
+            return Ret(_ref_dyn_failure(contract_failure(f"import:arity:{_ref_label(td)}")))
+        natives = []
+        for dom, tree, da in zip(doms, arg_trees, dyn_args):
+            imported = reference_import_value(dom, tree, da)
+            if is_err(imported):
+                return Ret(_ref_dyn_failure(imported))
+            natives.append(imported.value)
+        return Bind(guarded(*natives), lambda result: Ret(reference_export_value(cod, cod_tree, result)))
+
+    return DClosure(fn)
+
+
+def _ref_import_arrow(td: ArrowT, cks: CheckTree, dclo: DClosure):
+    *arg_trees, cod_tree = subtrees(td, cks)
+    doms, cod = td.doms, td.cod
+
+    def enter(*natives):
+        dyn_args = [reference_export_value(dom, tree, x) for dom, tree, x in zip(doms, arg_trees, natives)]
+        return Bind(dclo.fn(*dyn_args), imported)
+
+    def imported(dyn_result):
+        outcome = reference_import_value(cod, cod_tree, dyn_result)
+        return Ret(outcome.value if not is_err(outcome) else outcome)
+
+    return _ref_apply_node(td, cks, enter)
+
+
+def _ref_apply_node(td: ArrowT, cks: CheckTree, f):
+    if not isinstance(cks, Node):
+        start = lambda args: f(*args)
+        return lambda *args: Bind(Ret(args), start)
+    if td.spec is None:
+        raise ValueError("check node at an arrow without a spec")
+    eff_ck = cks.ck if isinstance(cks.ck, EffCheck) else EffCheck(cks.ck)
+    if td.spec.kind is CheckKind.PRE:
+        return _ref_enforce_pre(eff_ck, f, _ref_label(td))
+    return _ref_enforce_post(eff_ck, f, _ref_label(td))
+
+
+_REF_READ = get_mstate()
+
+
+def _ref_enforce_pre(eff_ck, f, label):
+    ck, failure = eff_ck.ck, Ret(contract_failure(f"pre:{label}"))
+
+    def wrapped(*args):
+        before = lambda s0: Bind(_REF_READ, lambda s1: f(*args) if ck(args, s0, (), s1) else failure)
+        return Bind(_REF_READ, before)
+
+    return wrapped
+
+
+def _ref_enforce_post(eff_ck, f, label):
+    ck, failure = eff_ck.ck, Ret(contract_failure(f"post:{label}"))
+
+    def wrapped(*args):
+        def before(s0):
+            judge = lambda y: Bind(_REF_READ, lambda s1: Ret(y) if ck(args, s0, y, s1) else failure)
+            return Bind(f(*args), judge)
+
+        return Bind(_REF_READ, before)
+
+    return wrapped

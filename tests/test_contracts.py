@@ -85,6 +85,29 @@ def test_import_rejects_non_closure_at_arrow():
     assert is_err(import_value(arrow, Leaf(), DInt(3)))
 
 
+# Junk a plugin can hand back at structured types: each is refused in-band,
+# with the label of the innermost type that did not match.
+_PAIR, _SUM = PairT(IntT(), BytesT()), EitherT(IntT(), ErrT())
+
+
+@pytest.mark.parametrize(
+    "td,dv,why",
+    [
+        (_PAIR, DInt(1), "import:PairT"),
+        (_PAIR, DPair(DInt(1), DInt(2)), "import:BytesT"),
+        (_PAIR, DPair(DBytes(b"x"), DBytes(b"y")), "import:IntT"),
+        (_SUM, DRight(DInt(4)), "import:ErrT"),
+        (_SUM, DLeft(DBytes(b"x")), "import:IntT"),
+        (_SUM, DPair(DInt(1), DInt(2)), "import:EitherT"),
+        (_SUM, DUnit(), "import:EitherT"),
+        (option_t(IntT()), DRight(DInt(0)), "import:UnitT"),
+    ],
+    ids=["non-pair", "bad-second", "bad-first", "bad-right", "bad-left", "pair-at-sum", "unit-at-sum", "bad-miss"],
+)
+def test_import_refuses_structured_junk_in_band(td, dv, why):
+    assert import_value(td, Leaf(), dv) == contract_failure(why)
+
+
 def test_typechecks_shapes():
     assert not is_err(import_value(IntT(), Leaf(), DInt(1)))
     assert is_err(import_value(BytesT(), Leaf(), DInt(1)))

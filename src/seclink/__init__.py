@@ -24,7 +24,7 @@ from .effects import (
     is_ok,
     ret,
 )
-from .interp import CapabilityError, GhostInvariantError, RunResult, interpret
+from .interp import GhostInvariantError, RunResult, interpret
 from .monitor import (
     MStateDesc,
     SecureIoLib,
@@ -51,7 +51,6 @@ from .worlds import World, dump_scenario, load_scenario, make_world, render_trac
 __all__ = [
     "GET_MSTATE",
     "Caller",
-    "CapabilityError",
     "Comp",
     "Err",
     "ErrCode",

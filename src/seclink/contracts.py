@@ -37,16 +37,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
-from .effects import (
-    Bind,
-    Comp,
-    Err,
-    Ok,
-    Ret,
-    contract_failure,
-    get_mstate,
-    record,
-)
+from .effects import Bind, Comp, Err, Ok, Ret, _trusted, contract_failure, get_mstate, guard, record
 
 # ---------------------------------------------------------------------------
 # Runtime type descriptors
@@ -265,9 +256,6 @@ class EffCheck:
         return Bind(_READ, got_before)
 
 
-make_check_eff = EffCheck
-
-
 def make_checks_eff(tree: CheckTree) -> CheckTree:
     """Lift every check in the tree to its two-phase effectful form."""
     if isinstance(tree, Leaf):
@@ -327,28 +315,42 @@ def shape_matches(td: TypeDesc, tree: CheckTree) -> bool:
     )
 
 
+def errors_fit(td: TypeDesc) -> bool:
+    """Each sum in `td` has a base error side, which a contract failure fits."""
+    fits = not isinstance(td, EitherT) or type(td.right) in _BASE_SHAPES
+    return fits and all(map(errors_fit, components(td)))
+
+
 # ---------------------------------------------------------------------------
 # Enforcement combinators, staged once per arrow and applied to each `f`
 # ---------------------------------------------------------------------------
 
 
-def _pre_guard(eff_ck: EffCheck, label: str) -> Callable[[Callable[..., Comp]], Callable[..., Comp]]:
-    ck, failure = eff_ck.ck, Ret(contract_failure(f"pre:{label}"))
+def _step_guard(f: Callable[..., Comp]) -> Callable[..., Comp]:
+    start = lambda args: f(*args)
+    return lambda *args: Bind(Ret(args), start)
 
-    def guard(f):
+
+def _guard(td: ArrowT, cks: CheckTree) -> Callable[[Callable[..., Comp]], Callable[..., Comp]]:
+    """How a call at this arrow starts, once the loop reaches it, not when it
+    is built: after one step, or behind two state reads and one call of its
+    check.  A PRE check reads with nothing in between and, saying no, fails
+    without calling `f`; a POST check judges `f`'s result."""
+    if not isinstance(cks, Node):
+        return _step_guard
+    if td.spec is None:
+        raise ValueError("check node at an arrow without a spec")
+    ck = cks.ck.ck if isinstance(cks.ck, EffCheck) else cks.ck
+    failure = Ret(contract_failure(f"{td.spec.kind.value}:{_label(td)}"))
+
+    def pre(f):
         def wrapped(*args):
             before = lambda s0: Bind(_READ, lambda s1: f(*args) if ck(args, s0, (), s1) else failure)
             return Bind(_READ, before)
 
         return wrapped
 
-    return guard
-
-
-def _post_guard(eff_ck: EffCheck, label: str) -> Callable[[Callable[..., Comp]], Callable[..., Comp]]:
-    ck, failure = eff_ck.ck, Ret(contract_failure(f"post:{label}"))
-
-    def guard(f):
+    def post(f):
         def wrapped(*args):
             def before(s0):
                 judge = lambda y: Bind(_READ, lambda s1: Ret(y) if ck(args, s0, y, s1) else failure)
@@ -358,35 +360,7 @@ def _post_guard(eff_ck: EffCheck, label: str) -> Callable[[Callable[..., Comp]],
 
         return wrapped
 
-    return guard
-
-
-def _step_guard(f: Callable[..., Comp]) -> Callable[..., Comp]:
-    start = lambda args: f(*args)
-    return lambda *args: Bind(Ret(args), start)
-
-
-def enforce_pre(eff_ck: EffCheck, f: Callable[..., Comp], label: str) -> Callable[..., Comp]:
-    """Guard `f` behind the check, read with nothing in between: denial
-    returns a contract failure with no events and without calling `f`."""
-    return _pre_guard(eff_ck, label)(f)
-
-
-def enforce_post(eff_ck: EffCheck, f: Callable[..., Comp], label: str) -> Callable[..., Comp]:
-    """Run `f`, then judge its result between the two state snapshots; a
-    failed verdict replaces the result with a contract failure."""
-    return _post_guard(eff_ck, label)(f)
-
-
-def _guard(td: ArrowT, cks: CheckTree):
-    """How a call at this arrow starts: behind its check, or after one step;
-    either way once the loop reaches the call, not when it is built."""
-    if not isinstance(cks, Node):
-        return _step_guard
-    if td.spec is None:
-        raise ValueError("check node at an arrow without a spec")
-    eff_ck = cks.ck if isinstance(cks.ck, EffCheck) else EffCheck(cks.ck)
-    return (_pre_guard if td.spec.kind is CheckKind.PRE else _post_guard)(eff_ck, _label(td))
+    return pre if td.spec.kind is CheckKind.PRE else post
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +437,15 @@ def _dyn_failure(e: Err) -> DynValue:
 
 
 def _export_arrow(td: ArrowT, cks: CheckTree) -> Callable[[Callable[..., Comp]], DClosure]:
-    """The context's call enters trusted code at one point: `f`, behind the guard."""
+    """The context's call enters trusted code at one point: `f`, behind the
+    check, run under a trusted mark."""
     *arg_trees, cod_tree = subtrees(td, cks)
     importers, export_cod = tuple(map(_importer, td.doms, arg_trees)), _exporter(td.cod, cod_tree)
-    guard, exported = _guard(td, cks), lambda result: Ret(export_cod(result))
+    behind_check, exported = _guard(td, cks), lambda result: Ret(export_cod(result))
     arity = f"import:arity:{_label(td)}"
 
     def export(f):
-        guarded = guard(f)
+        guarded = behind_check(f)
 
         def fn(*dyn_args):
             if len(dyn_args) != len(importers):
@@ -481,7 +456,7 @@ def _export_arrow(td: ArrowT, cks: CheckTree) -> Callable[[Callable[..., Comp]],
                 if isinstance(imported, Err):
                     return Ret(_dyn_failure(imported))
                 natives.append(imported.value)
-            return Bind(guarded(*natives), exported)
+            return Bind(_trusted(guarded(*natives)), exported)
 
         return DClosure(fn)
 
@@ -489,13 +464,15 @@ def _export_arrow(td: ArrowT, cks: CheckTree) -> Callable[[Callable[..., Comp]],
 
 
 def _import_arrow(td: ArrowT, cks: CheckTree, dclo: DClosure) -> Callable[..., Comp]:
-    """Trusted code's call enters the context at one point: `enter`, behind the guard."""
+    """Trusted code's call enters the context at one point: `enter`, behind
+    the check.  The context's computation runs under a guard; importing its
+    result does not."""
     *arg_trees, cod_tree = subtrees(td, cks)
     exporters, import_cod = tuple(map(_exporter, td.doms, arg_trees)), _importer(td.cod, cod_tree)
     ctx_fn = dclo.fn
 
     def enter(*natives):
-        return Bind(ctx_fn(*[export(x) for export, x in zip(exporters, natives)]), imported)
+        return Bind(guard(ctx_fn(*[export(x) for export, x in zip(exporters, natives)])), imported)
 
     def imported(dyn_result):  # failing to import is in-band: codomains include errors
         outcome = import_cod(dyn_result)

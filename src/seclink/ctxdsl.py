@@ -5,8 +5,7 @@ instead of as host closures.  The language has base types (unit, int,
 bytes, fd, err), pairs, sums, unary functions, a handful of pure byte
 helpers, and one effect form `io OP e` that routes through the secure IO
 library supplied at link time.  There is no recursion, so every typed term
-terminates, and a term reaches IO only through that library: unlike a host
-closure (see `effects`), it cannot build a monitor-tagged call itself.
+terminates, and a term reaches IO only through that library.
 
 Its types are the boundary's spec-free `contracts.TypeDesc`s with unary
 arrows.  `parse` builds the AST, `typecheck` verifies it against the boundary

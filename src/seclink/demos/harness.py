@@ -14,7 +14,7 @@ from typing import Callable
 
 from .. import ctxdsl
 from ..contracts import import_value, make_checks_eff
-from ..effects import Caller, IoOp, call_io, do, is_err
+from ..effects import Caller, IoOp, _trusted, call_io, do, is_err
 from ..interp import RunResult, interpret
 from ..linker import (
     SourceInterface,
@@ -298,13 +298,13 @@ def attribute_mechanism(iface: SourceInterface, ctx) -> str | None:
 
     @do
     def probe():
-        sock = yield call_io(Caller.PROG, IoOp.SOCKET, ())
-        yield call_io(Caller.PROG, IoOp.BIND, (sock.value, "0.0.0.0", 3000))
-        yield call_io(Caller.PROG, IoOp.LISTEN, (sock.value, 5))
-        client = yield call_io(Caller.PROG, IoOp.ACCEPT, sock.value)
-        request = yield call_io(Caller.PROG, IoOp.READ, client.value)
+        sock = yield call_io(IoOp.SOCKET, ())
+        yield call_io(IoOp.BIND, (sock.value, "0.0.0.0", 3000))
+        yield call_io(IoOp.LISTEN, (sock.value, 5))
+        client = yield call_io(IoOp.ACCEPT, sock.value)
+        request = yield call_io(IoOp.READ, client.value)
         outcome = yield strong.value(client.value, request.value, webserver._send_to(client.value))
         return outcome
 
-    outcome = interpret(probe(), PROBE_WORLD, iface.mstate).result
+    outcome = interpret(_trusted(probe(), lib.policy), PROBE_WORLD, iface.mstate).result
     return outcome.why if is_err(outcome) else None

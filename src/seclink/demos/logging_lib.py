@@ -100,7 +100,7 @@ def interface() -> SourceInterface:
 
 @do
 def logger(message: bytes):
-    result = yield call_io(Caller.PROG, IoOp.WRITE, (STDOUT_FD, message))
+    result = yield call_io(IoOp.WRITE, (STDOUT_FD, message))
     return result
 
 

@@ -58,7 +58,7 @@ SERVED_FOLDER = "/temp"
 DEFAULT_REQUEST_BUDGET = 16
 
 # Hoisted (see the note in `effects`).
-_PROG, _CTX = Caller.PROG, Caller.CTX
+_CTX = Caller.CTX
 _OPENFILE, _READ, _WRITE, _CLOSE = IoOp.OPENFILE, IoOp.READ, IoOp.WRITE, IoOp.CLOSE
 _ACCEPT, _SELECT = IoOp.ACCEPT, IoOp.SELECT
 
@@ -171,7 +171,7 @@ def interface() -> SourceInterface:
 
 
 def _send_to(client: int):
-    return lambda response: call_io(_PROG, _WRITE, (client, response))
+    return lambda response: call_io(_WRITE, (client, response))
 
 
 def make_server_prog(budget: int = DEFAULT_REQUEST_BUDGET):
@@ -180,31 +180,31 @@ def make_server_prog(budget: int = DEFAULT_REQUEST_BUDGET):
 
     @do
     def server(handler):
-        sock = yield call_io(_PROG, IoOp.SOCKET, ())
+        sock = yield call_io(IoOp.SOCKET, ())
         sock = sock.value
-        yield call_io(_PROG, IoOp.SETSOCKOPT, (sock, "SO_REUSEADDR", True))
-        yield call_io(_PROG, IoOp.BIND, (sock, "0.0.0.0", 3000))
-        yield call_io(_PROG, IoOp.LISTEN, (sock, 5))
-        yield call_io(_PROG, IoOp.SETNONBLOCK, sock)
+        yield call_io(IoOp.SETSOCKOPT, (sock, "SO_REUSEADDR", True))
+        yield call_io(IoOp.BIND, (sock, "0.0.0.0", 3000))
+        yield call_io(IoOp.LISTEN, (sock, 5))
+        yield call_io(IoOp.SETNONBLOCK, sock)
         served = 0
         for _ in range(budget):
-            accepted = yield call_io(_PROG, _ACCEPT, sock)
+            accepted = yield call_io(_ACCEPT, sock)
             if is_err(accepted):
                 break
             client = accepted.value
-            ready = yield call_io(_PROG, _SELECT, (client,))
+            ready = yield call_io(_SELECT, (client,))
             if is_ok(ready):
-                request = yield call_io(_PROG, _READ, client)
+                request = yield call_io(_READ, client)
                 if is_ok(request):
                     if valid_http_request(request.value):
                         outcome = yield handler(client, request.value, _send_to(client))
                         if is_err(outcome):
-                            yield call_io(_PROG, _WRITE, (client, http_error(400)))
+                            yield call_io(_WRITE, (client, http_error(400)))
                     else:
-                        yield call_io(_PROG, _WRITE, (client, http_error(400)))
+                        yield call_io(_WRITE, (client, http_error(400)))
                     served += 1
-            yield call_io(_PROG, _CLOSE, client)
-        yield call_io(_PROG, _CLOSE, sock)
+            yield call_io(_CLOSE, client)
+        yield call_io(_CLOSE, sock)
         return served
 
     return server

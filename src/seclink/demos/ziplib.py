@@ -121,25 +121,25 @@ def make_zip_prog(inputs: tuple[str, ...] = ("/temp/in1.txt",), probe_closed_fd:
 
     @do
     def prog(archiver):
-        archive = yield call_io(Caller.PROG, IoOp.OPENFILE, (ARCHIVE_PATH, ("O_CREAT",), 0o644))
+        archive = yield call_io(IoOp.OPENFILE, (ARCHIVE_PATH, ("O_CREAT",), 0o644))
         archive = archive.value
         entries = 0
         started = yield archiver(archive)
         if is_ok(started):
             add_entry = started.value
             for path in inputs:
-                opened = yield call_io(Caller.PROG, IoOp.OPENFILE, (path, (), 0))
+                opened = yield call_io(IoOp.OPENFILE, (path, (), 0))
                 if is_err(opened):
                     continue
                 added = yield add_entry(opened.value)
                 if is_ok(added):
                     entries += 1
-                yield call_io(Caller.PROG, IoOp.CLOSE, opened.value)
+                yield call_io(IoOp.CLOSE, opened.value)
                 if probe_closed_fd:
                     stale = yield add_entry(opened.value)
                     if is_ok(stale):
                         entries += 1
-        yield call_io(Caller.PROG, IoOp.CLOSE, archive)
+        yield call_io(IoOp.CLOSE, archive)
         return entries
 
     return prog

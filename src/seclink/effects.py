@@ -1,25 +1,25 @@
 """Computation trees over a monitored IO signature, and the loop that runs them.
 
-A computation is a tree of four node kinds: `Ret(value)`, an operation
-`Call` awaiting its result, `Bind(m, f)`, and `Do(body, args)`, one `@do`
-call; building one only allocates a node.  `evaluate`, the one loop that
-runs trees, keeps continuations and running `@do` generators on an
-explicit stack and hands each `Call` to its driver (`seclink.interp`):
-O(1) per operation at any nesting depth, and no Python recursion.
+A computation is a tree of frozen nodes: `Ret(value)`, an operation `Call`
+awaiting its result, `Bind(m, f)`, `Do(body, args)`, one `@do` call, and a
+guard or trusted mark around a subtree; building one only allocates it.
+`evaluate`, the one loop that runs trees, keeps continuations, running `@do`
+generators and marks on an explicit stack and hands each `Call` to its
+driver (`seclink.interp`): O(1) per operation at any nesting depth, and no
+Python recursion.
 
-Caller tags distinguish trusted program code from untrusted context code.
-Context code is meant to reach IO only through the secure library handle
-from `seclink.monitor`, whose node is tagged as monitor-mediated and carries
-the policy the driver decides before the step.  The tags are a convention,
-not provenance: `call_io` is public, so a host closure can build a policy-free
-monitor-tagged context call, which only `policy-locally-enforced` catches, or
-a program call, which passes every verdict, until the loop marks where a call
-was built (ROADMAP, plugin containment).
+Who made a call is read off that stack, not off the node.  Under a `guard`
+a call is the context's, decided by the guard's policy and by every policy
+in force around it: guards conjoin, so a plugin can narrow what it may do,
+never widen it.  A call under no guard is the program's, and so is one under
+a trusted mark, which only trusted code can build: linking puts the program
+under one that holds the library's policy, and the contracts put each
+trusted function the context calls under one.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from types import GeneratorType
 from typing import Any, Callable
@@ -170,48 +170,82 @@ class Comp:
     __slots__ = ()
 
 
-@dataclass(slots=True)
+def _node(cls):
+    """A frozen `record` with no `__setstate__` to change it in place: a
+    context handed a tree of trusted code can run it, not rewrite it."""
+    cls = record(cls, eq=False)
+    del cls.__getstate__, cls.__setstate__
+    return cls
+
+
+@_node
 class Ret(Comp):
     value: Any
 
 
-@dataclass(slots=True, eq=False)
+@_node
 class Call(Comp):
-    caller: Caller
     op: Any  # IoOp or GET_MSTATE
     arg: Any
-    via_monitor: bool = field(default=False)
-    policy: Any = None  # (state, op, canonical arg) -> allow?, on a library call
 
 
-@dataclass(slots=True, eq=False)
+@_node
 class Bind(Comp):
     m: Comp
     f: Callable[[Any], Comp]
 
 
-@dataclass(slots=True, eq=False)
+@_node
 class Do(Comp):
     body: Callable[..., Any]  # a generator function
     args: tuple
 
 
+@_node
+class _Guard(Comp):  # context code: `policy` decides each call under it, with every policy in force
+    m: Comp
+    policy: Any = None  # (state, op, canonical arg) -> allow?
+
+
+@_node
+class _Trusted(Comp):  # trusted code: each call under it is the program's
+    m: Comp
+    policy: Any = None
+
+
+_init_trusted, _Trusted.__init__ = _Trusted.__init__, None  # only `_trusted` builds one
+
 ret = Ret
 bind = Bind
+call_io = Call  # one IO operation call: the program's, or the context's under a guard
+guard = _Guard  # `m` as context code, its calls decided by `policy` as well
+
+
+_LEAVE = object()  # a frame no node can put on the stack
 
 
 def evaluate(comp: Comp):
-    """Run `comp` as a generator: it yields each `Call` node, is sent that
-    call's result, and returns the computation's value.  A node that is not
-    a computation raises `TypeError`.  A frame is a `Bind` continuation or a
-    running `@do` generator; the node classes are final, so tests are exact.
-    """
+    """Run `comp` as a generator: it yields each `Call` node with the
+    policies that decide it (None for a program call), is sent that call's
+    result, and returns the computation's value; a node that is not a
+    computation raises `TypeError`.  A frame is a `Bind` continuation, a
+    running `@do` generator, or `_LEAVE` over the scope a mark saved; the
+    node classes are final, so tests are exact."""
     frames = []
     cur = comp
+    scope = (None, ())  # (the policies that decide a call, or None for the program's; those in force)
     while True:
         kind = type(cur)
         if kind is Bind:
             frames.append(cur.f)
+            cur = cur.m
+            continue
+        if kind is _Guard or kind is _Trusted:
+            frames += (scope, _LEAVE)
+            in_force, policy = scope[1], cur.policy
+            if policy is not None and policy not in in_force:  # in force already: decided once
+                in_force += (policy,)
+            scope = (in_force if kind is _Guard else None, in_force)
             cur = cur.m
             continue
         if kind is Do:
@@ -220,13 +254,16 @@ def evaluate(comp: Comp):
         elif kind is Ret:
             value = cur.value
         elif kind is Call:
-            value = yield cur
+            value = yield cur, scope[0]
         else:
             raise TypeError(f"not a computation: {cur!r}")
         while frames:  # hand `value` to the innermost frame
             top = frames[-1]
             if type(top) is not GeneratorType:
                 frames.pop()
+                if top is _LEAVE:
+                    scope = frames.pop()
+                    continue
                 cur = top(value)
                 break
             try:
@@ -255,17 +292,12 @@ def do(fn):
     return build
 
 
-def call_io(caller: Caller, op: IoOp, arg, *, via_monitor: bool = False) -> Comp:
-    """One IO operation call.  Trusted-side construction only.
-
-    Context code must not build these nodes itself: the interpreter rejects
-    context-tagged calls that did not come through the secure library.
-    """
-    if not isinstance(op, IoOp):
-        raise TypeError(f"call_io expects an IO operation, got {op!r}")
-    return Call(caller, op, arg, via_monitor)
-
-
 def get_mstate() -> Comp:
     """Read the current monitor state.  Records no event."""
-    return Call(Caller.PROG, GET_MSTATE, ())
+    return Call(GET_MSTATE, ())
+
+
+def _trusted(comp: Comp, policy=None) -> Comp:
+    """`comp` as trusted code, with `policy` in force for the context code it reaches."""
+    _init_trusted(mark := object.__new__(_Trusted), comp, policy)
+    return mark

@@ -1,18 +1,18 @@
 """Deterministic interpreter: the handler that runs a computation tree
-against a world.  It drives `effects.evaluate`, which runs binds and `@do`
-bodies itself, and answers each call it yields: a state read with the
-monitor state, an IO call with one `worlds.step`.  A contract check is two
-such reads around one call of its predicate, with no event of its own.  A
-library call carries its policy, which the loop decides right before the
-step, on the once-canonicalised argument and the current state.
+against a world.  It drives `effects.evaluate`, which runs binds, `@do`
+bodies and boundary marks itself, and answers each call it yields: a state
+read with the monitor state, an IO call with one `worlds.step`.  A contract
+check is two such reads around one call of its predicate, with no event of
+its own.  A call reached under a guard is the context's: its argument is
+canonicalised once, a malformed one fails in-band, and the policies in force
+decide it right before the step.  Any other call is the program's.
 
 Alongside the world it maintains ghost state: the events of this run and
 the monitor-state value, updated on every recorded event.  In check mode
 (the default) it advances the abstraction fold beside the state and asserts
 that they agree: for the seeded history, after every event, and at each
-state read and policy decision.  It also audits the capability discipline:
-every context-tagged IO call must come through the secure library.  It trusts
-each call's caller and monitor tags, which a host closure can forge either way.
+state read and policy decision.  The audit fails only where a context event
+had no policy in force to decide it.
 """
 
 from __future__ import annotations
@@ -20,25 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import worlds
-from .effects import (
-    GET_MSTATE,
-    Caller,
-    Comp,
-    Event,
-    IoOp,
-    Trace,
-    contract_failure,
-    evaluate,
-)
+from .effects import GET_MSTATE, Caller, Comp, Event, IoOp, Trace, contract_failure, evaluate
 from .monitor import MStateDesc, abstraction, replay
-
-
-class CapabilityError(AssertionError):
-    """A context-tagged IO call bypassed the secure library."""
 
 
 class GhostInvariantError(AssertionError):
     """The monitor state stopped abstracting the history."""
+
+
+def _allows(policies, state, op, arg) -> bool:  # a loop: a generator expression costs more
+    for decide in policies:
+        if not decide(state, op, arg):
+            return False
+    return True
 
 
 @dataclass
@@ -78,7 +72,7 @@ def interpret(
 
     alpha = abstraction(desc, seed_history) if check else None
     # hoisted out of the per-event path; read per run, so a wrapped `step` is seen
-    ctx, canon, step = Caller.CTX, worlds._CANON, worlds.step
+    prog, ctx, canon, step = Caller.PROG, Caller.CTX, worlds._CANON, worlds.step
     upd, alpha_step, agree = desc.upd, desc.alpha_step, desc.agree
     if check and not agree(state, alpha):
         raise GhostInvariantError("seeded state does not abstract seeded history")
@@ -87,7 +81,7 @@ def interpret(
     value = None
     while True:
         try:
-            cur = core.send(value)
+            cur, decided = core.send(value)
         except StopIteration as done:
             return RunResult(
                 result=done.value,
@@ -106,25 +100,26 @@ def interpret(
             value = state
             continue
 
-        if not isinstance(op, IoOp):
-            raise TypeError(f"unknown operation {op!r}")
-        arg = canon[op](cur.arg)
-        if cur.policy is not None:
-            if check and not agree(state, alpha):
-                raise GhostInvariantError("state does not abstract history at policy decision")
-            if not cur.policy(state, op, arg):
-                value = contract_failure(f"policy:{op.value}")
+        try:
+            arg = canon[op](cur.arg)
+        except (TypeError, ValueError, OverflowError):
+            if decided is not None:
+                value = contract_failure("ctx:junk")
                 continue
-        caller = cur.caller
-        if caller is ctx:
-            if check and not cur.via_monitor:
-                raise CapabilityError(
-                    f"unmediated context call: {op.value} {cur.arg!r}"
-                )
+            if type(op) is not IoOp:  # the program's own malformed call is a bug
+                raise TypeError(f"unknown operation {op!r}") from None
+            raise
+        if decided is not None:
+            if decided:
+                if check and not agree(state, alpha):
+                    raise GhostInvariantError("state does not abstract history at policy decision")
+                if not _allows(decided, state, op, arg):
+                    value = contract_failure(f"policy:{op.value}")
+                    continue
+                monitored_calls += 1
             ctx_events += 1
-        if cur.via_monitor:
-            monitored_calls += 1
 
+        caller = prog if decided is None else ctx
         value = step(w, caller, op, arg)
         event = Event(caller, op, arg, value)
         local.append(event)

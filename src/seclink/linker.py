@@ -5,7 +5,8 @@ strong type with its contract declarations, the trace-level specification
 and the state-level policy that enforces it, the check tree, the whole-run
 post-condition, and the monitor state.  Compiling erases the contract
 declarations from the published type; linking supplies the secure IO
-library and the effectful checks.
+library and the effectful checks, and puts the library's policy in force
+around the program, so it decides each call the context makes.
 
 A context with initial control is a context at a higher-order type: it
 takes the trusted program's library as its argument (say `logger -> int`),
@@ -24,16 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .contracts import (
-    CheckTree,
-    DynValue,
-    TypeDesc,
-    import_value,
-    make_checks_eff,
-    shape_matches,
-    strip_specs,
-)
-from .effects import Comp, Ret, is_err
+from .contracts import CheckTree, DynValue, TypeDesc, errors_fit, import_value, make_checks_eff
+from .contracts import shape_matches, strip_specs
+from .effects import Comp, Ret, _trusted, is_err
 from .monitor import MStateDesc, Policy, SecureIoLib, enforce_policy
 from .traces import PolicySpec, PostCond
 
@@ -59,6 +53,8 @@ class SourceInterface:
     def __post_init__(self):
         if not shape_matches(self.ctype, self.cks):
             raise ValueError(f"{self.label}: check tree does not match the context type")
+        if not errors_fit(self.ctype):
+            raise ValueError(f"{self.label}: a sum's error side must be a base type")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +91,7 @@ def compile_prog(iface: SourceInterface, prog: SourceProg) -> TargetProg:
 
 def link_target(iface: TargetInterface, prog: TargetProg, ctx: TargetCtx) -> Comp:
     lib = enforce_policy(iface.policy, iface.mstate)
-    return prog(ctx(lib))
+    return _trusted(prog(ctx(lib)), lib.policy)
 
 
 def link_source(iface: SourceInterface, prog: SourceProg, ctx: SourceCtx):
@@ -106,7 +102,7 @@ def link_source(iface: SourceInterface, prog: SourceProg, ctx: SourceCtx):
     strong = ctx(lib, make_checks_eff(iface.cks))
     if is_err(strong):
         return iface.whole_run_post, Ret(LINK_FAILURE_EXIT)
-    return iface.whole_run_post, prog(strong.value)
+    return iface.whole_run_post, _trusted(prog(strong.value), lib.policy)
 
 
 def back_translate_ctx(iface: SourceInterface, ctx: TargetCtx) -> SourceCtx:

@@ -14,7 +14,8 @@ the cost of what changed since the pair it verified last (O(1) amortised):
 A policy decides IO requests from untrusted code using only the monitor
 state; its soundness obligation is that acceptance implies the trace-level
 specification on every history the state abstracts.  `enforce_policy`
-packages a policy as the one handle untrusted code gets for doing IO.
+packages a policy as the secure IO library, the IO handle untrusted code
+gets; linking puts its policy in force over every call the context makes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Generic, Iterable, TypeVar
 
-from .effects import Call, Caller, Comp, Event, IoOp, Ok, Trace, record
+from .effects import Call, Caller, Comp, Event, IoOp, Ok, Trace, guard, record
 from .traces import _ALLOCATORS
 
 S = TypeVar("S")
@@ -72,9 +73,9 @@ Policy = Callable[[Any, IoOp, Any], bool]
 
 @dataclass(frozen=True)
 class SecureIoLib:
-    """The only IO capability handed to untrusted code.
+    """The IO capability handed to untrusted code.
 
-    A call is one context-tagged node carrying the policy, which the
+    A call is one node under a guard of the library's policy, which the
     interpreter decides right before the step: an allowed call performs one
     operation; a denied one returns a contract failure and leaves trace and
     state untouched.
@@ -84,7 +85,7 @@ class SecureIoLib:
     desc: MStateDesc
 
     def call(self, op: IoOp, arg) -> Comp:
-        return Call(_CTX, op, arg, True, self.policy)
+        return guard(Call(op, arg), self.policy)
 
 
 def enforce_policy(policy: Policy, desc: MStateDesc) -> SecureIoLib:

@@ -85,7 +85,8 @@ def reference_enforced_locally(policy_spec, h, lt) -> bool:
 def reference_evaluate(comp: Comp):
     """Run `comp` as a generator: it yields each `Call` node, is sent that
     call's result, and returns the computation's value.  A node that is not
-    a computation raises `TypeError`.
+    a computation raises `TypeError`.  It knows no boundary marks, so each
+    call it yields is the program's (`None`: no policy decides it).
     """
     frames = []
     cur = comp
@@ -97,7 +98,7 @@ def reference_evaluate(comp: Comp):
         if isinstance(cur, Ret):
             value = cur.value
         elif isinstance(cur, Call):
-            value = yield cur
+            value = yield cur, None
         else:
             raise TypeError(f"not a computation: {cur!r}")
         if not frames:

@@ -28,11 +28,8 @@ from seclink.contracts import (
     Leaf,
     Node,
     UnitT,
-    enforce_post,
-    enforce_pre,
     export_value,
     import_value,
-    make_check_eff,
     make_checks_eff,
 )
 from seclink.demos import webserver_bundle
@@ -59,12 +56,12 @@ from test_monitor import _perturbed
 def drive(comp):
     """Run `comp` against a model monitor whose state is a fresh object after
     each IO call; every call answers `Ok(())`.  Returns the value, the states
-    each read handed out, and the IO calls."""
+    each read handed out, and the IO call nodes."""
     core = evaluate(comp)
     state, reads, calls, value = object(), [], [], None
     while True:
         try:
-            cur = core.send(value)
+            cur, _decided = core.send(value)
         except StopIteration as done:
             return done.value, reads, calls
         if cur.op is GET_MSTATE:
@@ -90,16 +87,27 @@ def recording_target(started):
 
     def target(*args):
         started.append(args)
-        return call_io(Caller.PROG, IoOp.WRITE, (4, args[0]))
+        return call_io(IoOp.WRITE, (4, args[0]))
 
     return target
+
+
+SEND = ArrowT((BytesT(),), EitherT(UnitT(), ErrT()), ArrowSpec("send", CheckKind.PRE))
+HANDLER = ArrowT((BytesT(),), EitherT(UnitT(), ErrT()), ArrowSpec("handler", CheckKind.POST))
+LIFTS = {"plain": lambda tree: tree, "effectful": make_checks_eff}
+POST_SEND = replace(SEND, spec=ArrowSpec("handler", CheckKind.POST))  # trusted, judged after the call
+
+
+def exported(td, ck, started):
+    """`recording_target` exported at `td` behind `ck`, as linking exports it."""
+    return export_value(td, Node(ck, Leaf(), Leaf()), recording_target(started)).fn
 
 
 def test_pre_reads_twice_and_checks_once_before_the_call():
     ck, seen = recording_check(True)
     started = []
-    value, reads, calls = drive(enforce_pre(make_check_eff(ck), recording_target(started), "send")(b"x"))
-    assert value == Ok(())
+    value, reads, calls = drive(exported(SEND, ck, started)(DBytes(b"x")))
+    assert value == DLeft(DUnit())
     assert len(reads) == 2 and reads[0] is reads[1]
     assert seen == [((b"x",), reads[0], (), reads[1])]
     assert started == [(b"x",)] and [c.op for c in calls] == [IoOp.WRITE]
@@ -108,8 +116,8 @@ def test_pre_reads_twice_and_checks_once_before_the_call():
 def test_pre_denial_calls_nothing_and_records_nothing():
     ck, seen = recording_check(False)
     started = []
-    value, reads, calls = drive(enforce_pre(make_check_eff(ck), recording_target(started), "send")(b"x"))
-    assert value == contract_failure("pre:send")
+    value, reads, calls = drive(exported(SEND, ck, started)(DBytes(b"x")))
+    assert value == DRight(DErr(ErrCode.CONTRACT_FAILURE, "pre:send"))
     assert len(reads) == 2 and len(seen) == 1
     assert started == [] and calls == []
 
@@ -118,16 +126,11 @@ def test_pre_denial_calls_nothing_and_records_nothing():
 def test_post_reads_around_the_call_and_judges_its_result(verdict):
     ck, seen = recording_check(verdict)
     started = []
-    value, reads, calls = drive(enforce_post(make_check_eff(ck), recording_target(started), "handler")(b"x"))
-    assert value == (Ok(()) if verdict else contract_failure("post:handler"))
+    value, reads, calls = drive(exported(POST_SEND, ck, started)(DBytes(b"x")))
+    assert value == (DLeft(DUnit()) if verdict else DRight(DErr(ErrCode.CONTRACT_FAILURE, "post:handler")))
     assert len(reads) == 2 and reads[0] is not reads[1]
     assert seen == [((b"x",), reads[0], Ok(()), reads[1])]
     assert started == [(b"x",)] and [c.op for c in calls] == [IoOp.WRITE]
-
-
-SEND = ArrowT((BytesT(),), EitherT(UnitT(), ErrT()), ArrowSpec("send", CheckKind.PRE))
-HANDLER = ArrowT((BytesT(),), EitherT(UnitT(), ErrT()), ArrowSpec("handler", CheckKind.POST))
-LIFTS = {"plain": lambda tree: tree, "effectful": make_checks_eff}
 
 
 @pytest.mark.parametrize("lift", sorted(LIFTS))

@@ -28,12 +28,10 @@ from seclink.contracts import (
     Leaf,
     Node,
     PairT,
+    EffCheck,
     UnitT,
-    enforce_post,
-    enforce_pre,
     export_value,
     import_value,
-    make_check_eff,
     make_checks_eff,
     option_t,
     shape_matches,
@@ -42,7 +40,7 @@ from seclink.contracts import (
 from seclink.ctxdsl import TypecheckError, parse, typecheck
 from seclink.demos import BUNDLES, webserver
 from seclink.demos.dsl_handlers import DSL_HANDLER_SOURCES
-from seclink.effects import Caller, Err, ErrCode, IoOp, Ok, call_io, contract_failure, do, is_err, ret
+from seclink.effects import Err, ErrCode, IoOp, Ok, call_io, contract_failure, do, guard, is_err, ret
 from seclink.interp import interpret
 from seclink.monitor import webserver_mstate
 from seclink.validate import collect_specced_arrows
@@ -249,7 +247,7 @@ def test_effectful_check_phases_emit_no_events():
         seen["states"] = (s0, s1)
         return True
 
-    eff = make_check_eff(ck)
+    eff = EffCheck(ck)
 
     @do
     def comp():
@@ -270,12 +268,12 @@ def test_effectful_check_sees_state_change():
         captured["pair"] = (s0.ctx_opened, s1.ctx_opened)
         return len(s1.ctx_opened) > len(s0.ctx_opened)
 
-    eff = make_check_eff(ck)
+    eff = EffCheck(ck)
 
     @do
     def comp():
         _s0, phase2 = yield eff.phase1(())
-        yield call_io(Caller.CTX, IoOp.OPENFILE, ("/temp/a.txt", (), 0), via_monitor=True)
+        yield guard(call_io(IoOp.OPENFILE, ("/temp/a.txt", (), 0)))
         _s1, verdict = yield phase2(())
         return verdict
 
@@ -283,58 +281,64 @@ def test_effectful_check_sees_state_change():
     assert captured["pair"] == ((), (3,))
 
 
+# -- enforcement on exported arrows -----------------------------------------------
+
+export_ok = DLeft(DUnit())
+
+
+def export_failure(why):
+    return DRight(DErr(ErrCode.CONTRACT_FAILURE, why))
+
+
+def checked(kind, ck, f, label, doms=(BytesT(),)):
+    """`f` exported at a `kind`-specced arrow behind `ck`, as linking exports it."""
+    td = ArrowT(doms, EitherT(UnitT(), ErrT()), ArrowSpec(label, kind))
+    return export_value(td, Node(ck, Leaf(), Leaf()), f).fn
+
+
 def test_constantly_true_check_accepts():
-    eff = make_check_eff(lambda *a: True)
-    wrapped = enforce_post(eff, lambda: ret(Ok(())), "x")
-    assert run(wrapped()).result == Ok(())
-
-
-# -- enforcement wrappers -------------------------------------------------------
+    wrapped = checked(CheckKind.POST, lambda *a: True, lambda: ret(Ok(())), "x", doms=())
+    assert run(wrapped()).result == export_ok
 
 
 def sendish(client):
     @do
     def send(data):
-        outcome = yield call_io(Caller.PROG, IoOp.WRITE, (client, data))
+        outcome = yield call_io(IoOp.WRITE, (client, data))
         return outcome
 
     return send
 
 
 def test_enforce_pre_denies_without_calling():
-    eff = make_check_eff(lambda args, s0, y, s1: False)
-    wrapped = enforce_pre(eff, sendish(1), "send")
-    result = run(wrapped(b"HTTP/1.1 200 OK\r\n\r\n"))
-    assert result.result == contract_failure("pre:send")
+    wrapped = checked(CheckKind.PRE, lambda args, s0, y, s1: False, sendish(1), "send")
+    result = run(wrapped(DBytes(b"HTTP/1.1 200 OK\r\n\r\n")))
+    assert result.result == export_failure("pre:send")
     assert result.local == ()
 
 
 def test_enforce_pre_passes_through():
-    eff = make_check_eff(lambda args, s0, y, s1: True)
-    wrapped = enforce_pre(eff, sendish(1), "send")
-    result = run(wrapped(b"HTTP/1.1 200 OK\r\n\r\n"))
-    assert result.result == Ok(())
+    wrapped = checked(CheckKind.PRE, lambda args, s0, y, s1: True, sendish(1), "send")
+    result = run(wrapped(DBytes(b"HTTP/1.1 200 OK\r\n\r\n")))
+    assert result.result == export_ok
     assert len(result.local) == 1
     assert result.local[0].op is IoOp.WRITE
 
 
 def test_enforce_post_replaces_result_on_failure():
-    eff = make_check_eff(lambda args, s0, y, s1: False)
-    wrapped = enforce_post(eff, lambda: ret(Ok(())), "handler")
+    wrapped = checked(CheckKind.POST, lambda args, s0, y, s1: False, lambda: ret(Ok(())), "handler", doms=())
     result = run(wrapped())
-    assert result.result == contract_failure("post:handler")
+    assert result.result == export_failure("post:handler")
 
 
 def test_enforce_post_trace_equals_inner_trace():
-    eff = make_check_eff(lambda *a: True)
-
     @do
     def inner():
-        yield call_io(Caller.PROG, IoOp.OPENFILE, ("/temp/a.txt", (), 0))
+        yield call_io(IoOp.OPENFILE, ("/temp/a.txt", (), 0))
         return Ok(())
 
     bare = run(inner())
-    wrapped = run(enforce_post(eff, inner, "x")())
+    wrapped = run(checked(CheckKind.POST, lambda *a: True, inner, "x", doms=())())
     assert wrapped.local == bare.local
 
 
@@ -357,10 +361,10 @@ def world_with_client():
 
 @do
 def with_client(body):
-    sock = yield call_io(Caller.PROG, IoOp.SOCKET, ())
-    yield call_io(Caller.PROG, IoOp.LISTEN, (sock.value, 5))
-    client = yield call_io(Caller.PROG, IoOp.ACCEPT, sock.value)
-    yield call_io(Caller.PROG, IoOp.READ, client.value)
+    sock = yield call_io(IoOp.SOCKET, ())
+    yield call_io(IoOp.LISTEN, (sock.value, 5))
+    client = yield call_io(IoOp.ACCEPT, sock.value)
+    yield call_io(IoOp.READ, client.value)
     outcome = yield body(client.value)
     return outcome
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 
@@ -19,10 +20,11 @@ from seclink.demos import (
 )
 from seclink.demos.dsl_handlers import DSL_HANDLER_SOURCES
 from seclink.demos.harness import webserver_interface
-from seclink.effects import Caller, IoOp, bind, call_io
+from seclink.effects import Caller, IoOp, bind, call_io, contract_failure, ret
 from seclink.httputil import http_ok, valid_http_request, valid_http_response
 from seclink.interp import interpret
 from seclink.linker import LINK_FAILURE_EXIT
+from seclink.monitor import enforce_policy
 from seclink.traces import enforced_locally
 from seclink.worlds import make_world
 
@@ -140,51 +142,103 @@ def test_allow_all_in_tmp_policy_variant():
         webserver_interface("nope")
 
 
-def test_forged_monitor_tag_fails_only_local_enforcement(ws_bundle):
-    # The caller and monitor tags are a convention: a host closure that builds
-    # a monitor-tagged context call itself skips the policy and passes the
-    # capability audit.  Of the scenario verdicts, only local enforcement
-    # catches it.
-    def forging_handler(_lib):
-        def run(_client, _req, send):
-            forged = call_io(Caller.CTX, IoOp.OPENFILE, ("/etc/passwd", (), 0), via_monitor=True)
-            return bind(forged, lambda _r: send.fn(DBytes(http_ok(b"x"))))
-
-        return DClosure(run)
-
-    bundle = dataclasses.replace(ws_bundle, contexts={"forger": forging_handler})
+def assert_passwd_refused(bundle, handler, outcomes):
+    """Run web world 1 with a host handler that tries to open /etc/passwd and
+    appends the outcome to `outcomes`; assert the linked policy refused the
+    open in-band and every verdict passes."""
+    bundle = dataclasses.replace(bundle, contexts={"forger": handler})
     report = run_scenario(bundle, "forger", bundle.worlds[1], 1)
-    assert report.verdicts == {
-        "capability-audit": True,
-        "whole-run-post": True,
-        "policy-locally-enforced": False,
-    }
-    ctx_opens = [e.arg[0] for e in report.run.local if e.caller is Caller.CTX and e.op is IoOp.OPENFILE]
-    assert "/etc/passwd" in ctx_opens
-
-
-def test_program_tagged_call_from_context_evades_every_verdict(ws_bundle):
-    # Pins a known gap, not a guarantee: a host closure that tags its own
-    # call as the program's is judged as trusted code.  The policy never
-    # sees the call, the audit has no context call to check, and local
-    # enforcement skips program events, so every scenario verdict passes.
-    # Provenance (ROADMAP, plugin containment) must assign a call built
-    # under the import's guard to the context, whatever its tag.
-    def prog_tagging_handler(_lib):
-        def run(_client, _req, send):
-            disguised = call_io(Caller.PROG, IoOp.OPENFILE, ("/etc/passwd", (), 0))
-            return bind(disguised, lambda _r: send.fn(DBytes(http_ok(b"x"))))
-
-        return DClosure(run)
-
-    bundle = dataclasses.replace(ws_bundle, contexts={"disguiser": prog_tagging_handler})
-    report = run_scenario(bundle, "disguiser", bundle.worlds[1], 1)
+    assert outcomes == [contract_failure("policy:Openfile")]
+    assert not any(e.op is IoOp.OPENFILE and e.arg[0] == "/etc/passwd" for e in report.run.local)
     assert report.verdicts == {
         "capability-audit": True,
         "whole-run-post": True,
         "policy-locally-enforced": True,
     }
-    assert "Prog Openfile ('/etc/passwd', (), 0) -> Err(ENOENT)" in [e.render() for e in report.run.local]
+
+
+def refused_passwd_open(bundle, make_call):
+    """`assert_passwd_refused` for a handler that opens /etc/passwd through
+    `make_call(lib, op, arg)` and then answers."""
+    outcomes = []
+
+    def handler(lib):
+        def run(_client, _req, send):
+            def answer(opened):
+                outcomes.append(opened)
+                return send.fn(DBytes(http_ok(b"x")))
+
+            return bind(make_call(lib, IoOp.OPENFILE, PASSWD), answer)
+
+        return DClosure(run)
+
+    assert_passwd_refused(bundle, handler, outcomes)
+
+
+PASSWD = ("/etc/passwd", (), 0)
+
+
+def test_forged_library_with_a_lax_policy_is_still_refused(ws_bundle):
+    # A host closure can build its own secure library that allows everything.
+    # Its guard sits under the import's guard, so the linked policy decides too.
+    allow_all = lambda lib, op, arg: enforce_policy(lambda *a: True, lib.desc).call(op, arg)
+    refused_passwd_open(ws_bundle, allow_all)
+
+
+def test_bare_call_from_context_is_refused_by_the_policy(ws_bundle):
+    # A call the context builds itself, not through its library, is still the
+    # context's: it was reached under the import's guard.
+    refused_passwd_open(ws_bundle, lambda _lib, op, arg: call_io(op, arg))
+
+
+def test_a_changed_or_rebuilt_library_call_is_still_refused(ws_bundle):
+    # A guard cannot be changed, and rebuilding one without its policy gives a
+    # guard still: the import's guard around it decides.
+    def rebuilt(lib, op, arg):
+        node = lib.call(op, arg)
+        for name in ("policy", "m"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, None)
+        return dataclasses.replace(node, policy=None)
+
+    refused_passwd_open(ws_bundle, rebuilt)
+
+
+def test_a_context_cannot_reuse_the_trusted_mark_it_is_handed(ws_bundle):
+    # `send.fn(...)` hands the context a tree whose first node is a trusted
+    # mark.  The context can read it and run it, but not rebuild, copy or
+    # change it or a node under it; its own call after the mark is left is
+    # the context's again.
+    outcomes = []
+
+    def handler(_lib):
+        def run(_client, _req, send):
+            sent = send.fn(DBytes(http_ok(b"x")))
+            mark, io = sent.m, call_io(IoOp.OPENFILE, PASSWD)
+            for forge in (
+                lambda: type(mark)(io),
+                lambda: type(mark)(io, None, object()),
+                lambda: dataclasses.replace(mark, m=io),
+                lambda: copy.copy(mark),
+            ):
+                with pytest.raises((TypeError, AttributeError)):
+                    forge()
+            with pytest.raises(AttributeError):
+                mark.m = io
+            with pytest.raises(AttributeError):
+                mark.m.f = lambda _args: io
+            with pytest.raises(AttributeError):
+                mark.m.__setstate__((io, lambda _args: io))
+
+            def opened(outcome, answered):
+                outcomes.append(outcome)
+                return ret(answered)
+
+            return bind(bind(mark, sent.f), lambda answered: bind(io, lambda o: opened(o, answered)))
+
+        return DClosure(run)
+
+    assert_passwd_refused(ws_bundle, handler, outcomes)
 
 
 def test_non_closure_context_fails_to_link_on_both_routes(ws_bundle):

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from oracles import reference_do, reference_evaluate
 from seclink import interp
+from seclink.contracts import ArrowT, DClosure, EitherT, ErrT, Leaf, UnitT, import_value
 from seclink.effects import Caller, Err, ErrCode, IoOp, Ok, bind, call_io, do, evaluate, get_mstate, ret
-from seclink.interp import CapabilityError, interpret
+from seclink.effects import _trusted, guard
+from seclink.interp import interpret
 from seclink.monitor import stateless_mstate, webserver_mstate
 from seclink.worlds import make_world
 
@@ -74,7 +76,7 @@ def comp_from_plan(plan, do_=do):
         @do_
         def reads():
             for _ in range(k):
-                yield call_io(Caller.PROG, IoOp.READ, 3)
+                yield call_io(IoOp.READ, 3)
             if where == "body":
                 raise Boom(where, k)
             return 0
@@ -85,7 +87,7 @@ def comp_from_plan(plan, do_=do):
     def step():
         acc = 0
         if head == "open":
-            r = yield call_io(Caller.PROG, IoOp.OPENFILE, ("/temp/a.txt", (), 0))
+            r = yield call_io(IoOp.OPENFILE, ("/temp/a.txt", (), 0))
             acc = r.value if isinstance(r, Ok) else -1
         elif head == "state":
             s = yield get_mstate()
@@ -94,7 +96,7 @@ def comp_from_plan(plan, do_=do):
             for i in range(3):
                 acc += yield ret(i)
         else:
-            r = yield call_io(Caller.PROG, IoOp.READ, 3)
+            r = yield call_io(IoOp.READ, 3)
             acc = len(r.value) if isinstance(r, Ok) else -2
         rest_result = yield comp_from_plan(rest, do_)
         return acc + rest_result
@@ -156,7 +158,7 @@ def test_unit_ret(small_world):
 
 
 def test_bind_records_one_event_per_call(small_world):
-    comp = bind(call_io(Caller.PROG, IoOp.OPENFILE, ("/temp/a.txt", (), 0)), ret)
+    comp = bind(call_io(IoOp.OPENFILE, ("/temp/a.txt", (), 0)), ret)
     result = run(comp, small_world)
     assert result.result == Ok(3)
     assert len(result.local) == 1
@@ -165,7 +167,7 @@ def test_bind_records_one_event_per_call(small_world):
 
 
 def test_call_io_records_errors_in_band(small_world):
-    comp = call_io(Caller.PROG, IoOp.READ, 99)
+    comp = call_io(IoOp.READ, 99)
     result = run(comp, small_world)
     assert result.result == Err(ErrCode.EBADF)
     assert len(result.local) == 1
@@ -175,9 +177,9 @@ def test_call_io_records_errors_in_band(small_world):
 def test_write_after_close_fails(small_world):
     @do
     def prog():
-        fd = yield call_io(Caller.PROG, IoOp.OPENFILE, ("/temp/a.txt", (), 0))
-        yield call_io(Caller.PROG, IoOp.CLOSE, fd.value)
-        outcome = yield call_io(Caller.PROG, IoOp.WRITE, (fd.value, b"x"))
+        fd = yield call_io(IoOp.OPENFILE, ("/temp/a.txt", (), 0))
+        yield call_io(IoOp.CLOSE, fd.value)
+        outcome = yield call_io(IoOp.WRITE, (fd.value, b"x"))
         return outcome
 
     assert run(prog(), small_world).result == Err(ErrCode.EBADF)
@@ -194,7 +196,7 @@ def test_get_mstate_records_no_event(small_world):
 def test_get_mstate_tracks_updates(small_world):
     @do
     def prog():
-        fd = yield call_io(Caller.CTX, IoOp.OPENFILE, ("/temp/a.txt", (), 0), via_monitor=True)
+        fd = yield guard(call_io(IoOp.OPENFILE, ("/temp/a.txt", (), 0)))
         state = yield get_mstate()
         return fd.value, state
 
@@ -205,8 +207,8 @@ def test_get_mstate_tracks_updates(small_world):
 def test_interpret_deterministic(small_world):
     @do
     def prog():
-        fd = yield call_io(Caller.PROG, IoOp.OPENFILE, ("/temp/a.txt", (), 0))
-        data = yield call_io(Caller.PROG, IoOp.READ, fd.value)
+        fd = yield call_io(IoOp.OPENFILE, ("/temp/a.txt", (), 0))
+        data = yield call_io(IoOp.READ, fd.value)
         return data
 
     comp = prog()
@@ -220,8 +222,8 @@ def test_interpret_deterministic(small_world):
 def test_local_trace_chronological_and_history_reversed(small_world):
     @do
     def prog():
-        fd = yield call_io(Caller.PROG, IoOp.OPENFILE, ("/temp/a.txt", (), 0))
-        yield call_io(Caller.PROG, IoOp.CLOSE, fd.value)
+        fd = yield call_io(IoOp.OPENFILE, ("/temp/a.txt", (), 0))
+        yield call_io(IoOp.CLOSE, fd.value)
         return 0
 
     result = run(prog(), small_world)
@@ -232,7 +234,7 @@ def test_local_trace_chronological_and_history_reversed(small_world):
 def test_seed_history_extends(small_world):
     @do
     def prog():
-        yield call_io(Caller.PROG, IoOp.OPENFILE, ("/temp/a.txt", (), 0))
+        yield call_io(IoOp.OPENFILE, ("/temp/a.txt", (), 0))
         return 0
 
     first = run(prog(), small_world)
@@ -240,10 +242,26 @@ def test_seed_history_extends(small_world):
     assert seeded.history == tuple(reversed(seeded.local)) + first.history
 
 
-def test_unmediated_ctx_call_rejected(small_world):
-    comp = call_io(Caller.CTX, IoOp.OPENFILE, ("/temp/a.txt", (), 0))
-    with pytest.raises(CapabilityError):
-        run(comp, small_world)
+def test_bare_call_at_top_level_is_a_program_call(small_world):
+    done = run(call_io(IoOp.OPENFILE, ("/temp/a.txt", (), 0)), small_world)
+    assert [(e.caller, e.op) for e in done.local] == [(Caller.PROG, IoOp.OPENFILE)]
+    assert done.ctx_events == done.monitored_calls == 0
+
+
+def test_bare_call_under_an_import_guard_is_a_decided_context_call(small_world):
+    # the same node, built by a context the program imported and called
+    seen = []
+
+    def policy(state, op, arg):
+        seen.append((op, arg))
+        return True
+
+    node = call_io(IoOp.OPENFILE, ("/temp/a.txt", (), 0))
+    ctx = import_value(ArrowT((), EitherT(UnitT(), ErrT())), Leaf(), DClosure(lambda: node)).value
+    done = run(_trusted(bind(ctx(), ret), policy), small_world)  # the policy in force, as linking puts it
+    assert [(e.caller, e.op) for e in done.local] == [(Caller.CTX, IoOp.OPENFILE)]
+    assert seen == [(IoOp.OPENFILE, ("/temp/a.txt", (), 0))]
+    assert done.ctx_events == done.monitored_calls == 1
 
 
 def test_do_reuses_fresh_generators():
@@ -271,7 +289,7 @@ def test_deep_do_nest_runs_without_recursion_error():
     @do
     def nest(n):
         if n == 0:
-            r = yield call_io(Caller.PROG, IoOp.READ, 99)
+            r = yield call_io(IoOp.READ, 99)
             return r
         r = yield nest(n - 1)
         return r
@@ -283,7 +301,7 @@ def test_deep_do_nest_runs_without_recursion_error():
 
 def test_long_left_nested_bind_chain_runs_without_recursion_error():
     length = 10**5
-    comp = bind(call_io(Caller.PROG, IoOp.READ, 99), lambda r: ret(0))
+    comp = bind(call_io(IoOp.READ, 99), lambda r: ret(0))
     for _ in range(length):
         comp = bind(comp, lambda x: ret(x + 1))
     result = run(comp, make_world())
@@ -299,7 +317,7 @@ def resume_stack_depth(nesting):
     @do
     def nest(n):
         if n == 1:
-            yield call_io(Caller.PROG, IoOp.READ, 99)
+            yield call_io(IoOp.READ, 99)
             depths.append(len(inspect.stack(0)))
             return 0
         r = yield nest(n - 1)
@@ -334,7 +352,7 @@ def test_do_body_exception_propagates_unchanged(small_world):
 
     @do
     def body():
-        yield call_io(Caller.PROG, IoOp.READ, 99)
+        yield call_io(IoOp.READ, 99)
         raise boom
 
     @do

@@ -88,7 +88,7 @@ def test_state_read_is_checked():
 
     @do
     def tamper():
-        yield call_io(Caller.PROG, IoOp.SOCKET, ())
+        yield call_io(IoOp.SOCKET, ())
         state = yield get_mstate()
         state.append("junk")
         yield get_mstate()

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-from seclink.contracts import DInt
-from seclink.demos import logging_bundle, zip_bundle
+from dataclasses import replace
+
+import pytest
+
+from seclink.contracts import ArrowSpec, ArrowT, CheckKind, DInt, EitherT, ErrT, IntT, Leaf, Node, PairT, UnitT
+from seclink.demos import BUNDLES, WEBSERVER_POLICIES, logging_bundle, zip_bundle
+from seclink.demos.harness import webserver_interface
 from seclink.effects import is_err
 from seclink.interp import interpret
 from seclink.linker import (
@@ -155,3 +160,25 @@ def test_zip_closed_fd_probe_hits_entry_contract():
     # so exactly one entry landed in the archive
     assert run.result == 1
     assert run.world.files["/temp/archive.zip"].count(b"entry:") == 1
+
+
+@pytest.mark.parametrize(
+    "ctype",
+    [
+        ArrowT((IntT(),), EitherT(IntT(), PairT(IntT(), IntT())), ArrowSpec("f", CheckKind.PRE)),
+        ArrowT((PairT(IntT(), EitherT(UnitT(), ArrowT((IntT(),), EitherT(IntT(), ErrT())))),), IntT()),
+    ],
+    ids=["codomain", "nested-argument"],
+)
+def test_interface_rejects_a_sum_whose_error_side_is_not_a_base_type(ws_bundle, ctype):
+    # a contract failure at such a sum would have no dynamic form to take
+    cks = Node(lambda *a: False, Leaf(), Leaf()) if ctype.spec else Leaf()
+    with pytest.raises(ValueError, match="error side"):
+        replace(ws_bundle.interface, ctype=ctype, cks=cks)
+
+
+def test_every_shipped_interface_builds():
+    for factory in BUNDLES.values():
+        factory()
+    for policy in WEBSERVER_POLICIES:
+        webserver_interface(policy)

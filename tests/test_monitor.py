@@ -227,7 +227,7 @@ def test_full_trace_run_of_1e5_events():
     @do
     def reads(n):
         for _ in range(n):
-            yield call_io(Caller.PROG, IoOp.READ, 99)
+            yield call_io(IoOp.READ, 99)
         return n
 
     run = interpret(reads(10**5), make_world(), full_trace_mstate(), check=True)

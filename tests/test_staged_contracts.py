@@ -46,7 +46,7 @@ from seclink.contracts import (
     make_checks_eff,
     shape_matches,
 )
-from seclink.effects import Caller, Err, ErrCode, IoOp, Ok, Ret, call_io, do
+from seclink.effects import Err, ErrCode, IoOp, Ok, Ret, call_io, do
 from test_checked_path import drive
 
 BASES = (IntT(), BytesT(), UnitT(), FdT(), ErrT())
@@ -169,10 +169,10 @@ def _behaviour(td, rng, make, apply, wrap):
     @do
     def body(*args):
         if io:
-            yield call_io(Caller.PROG, IoOp.READ, 7)
+            yield call_io(IoOp.READ, 7)
         for i, xs in plans:
             outcome = yield apply(args[i], xs)
-            yield call_io(Caller.PROG, IoOp.WRITE, (9, repr(_plain(outcome)).encode()))
+            yield call_io(IoOp.WRITE, (9, repr(_plain(outcome)).encode()))
         return result
 
     return wrap(body)
@@ -203,7 +203,7 @@ def _run_both(comp_a, comp_b):
         value, reads, calls = drive(comp)
         epoch = {id(s): n for n, s in reversed(list(enumerate(reads)))}
         checks = [(i, _plain(x), epoch[id(s0)], _plain(y), epoch[id(s1)]) for i, x, s0, y, s1 in LOG]
-        io = [(c.caller, c.op, c.arg) for c in calls]
+        io = [(c.op, c.arg) for c in calls]
         observed.append((value, [epoch[id(s)] for s in reads], checks, io))
     (va, *effects_a), (vb, *effects_b) = observed
     assert effects_a == effects_b

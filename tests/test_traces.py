@@ -169,7 +169,7 @@ def test_beh_distinguishes_worlds():
 
     @do
     def prog():
-        r = yield call_io(Caller.PROG, IoOp.OPENFILE, ("/temp/a.txt", (), 0))
+        r = yield call_io(IoOp.OPENFILE, ("/temp/a.txt", (), 0))
         return 1 if isinstance(r, Ok) else 0
 
     worlds = [make_world(files={"/temp/a.txt": b"x"}), make_world()]

@@ -220,11 +220,11 @@ def test_runs_on_one_world_share_no_buffer():
 
 @do
 def _write_then_read():
-    fd = yield call_io(PROG, IoOp.OPENFILE, ("/temp/log", ("O_CREAT",), 0o644))
-    yield call_io(PROG, IoOp.WRITE, (fd.value, b"one"))
-    yield call_io(PROG, IoOp.WRITE, (fd.value, b"two"))
-    again = yield call_io(PROG, IoOp.OPENFILE, ("/temp/log", (), 0))
-    data = yield call_io(PROG, IoOp.READ, again.value)
+    fd = yield call_io(IoOp.OPENFILE, ("/temp/log", ("O_CREAT",), 0o644))
+    yield call_io(IoOp.WRITE, (fd.value, b"one"))
+    yield call_io(IoOp.WRITE, (fd.value, b"two"))
+    again = yield call_io(IoOp.OPENFILE, ("/temp/log", (), 0))
+    data = yield call_io(IoOp.READ, again.value)
     return data.value
 
 
@@ -253,14 +253,14 @@ def test_dump_scenario_after_writes():
 @do
 def _leave_descriptors_live():
     # a listening socket, a client with its request unread, a file half read
-    sock = yield call_io(PROG, IoOp.SOCKET, ())
-    yield call_io(PROG, IoOp.BIND, (sock.value, "0.0.0.0", 80))
-    yield call_io(PROG, IoOp.LISTEN, (sock.value, 5))
-    yield call_io(PROG, IoOp.ACCEPT, sock.value)
-    log = yield call_io(PROG, IoOp.OPENFILE, ("/temp/log", ("O_CREAT",), 0o644))
-    yield call_io(PROG, IoOp.WRITE, (log.value, b"first"))
-    page = yield call_io(PROG, IoOp.OPENFILE, ("/temp/page", (), 0))
-    yield call_io(PROG, IoOp.READ, page.value)
+    sock = yield call_io(IoOp.SOCKET, ())
+    yield call_io(IoOp.BIND, (sock.value, "0.0.0.0", 80))
+    yield call_io(IoOp.LISTEN, (sock.value, 5))
+    yield call_io(IoOp.ACCEPT, sock.value)
+    log = yield call_io(IoOp.OPENFILE, ("/temp/log", ("O_CREAT",), 0o644))
+    yield call_io(IoOp.WRITE, (log.value, b"first"))
+    page = yield call_io(IoOp.OPENFILE, ("/temp/page", (), 0))
+    yield call_io(IoOp.READ, page.value)
     return sock.value, log.value, page.value
 
 
@@ -269,16 +269,16 @@ def _resume(fds):
 
     @do
     def resume():
-        client = yield call_io(PROG, IoOp.SELECT, tuple(range(sock, page + 1)))
-        request = yield call_io(PROG, IoOp.READ, client.value)
-        yield call_io(PROG, IoOp.WRITE, (client.value, b"re:" + request.value))
-        yield call_io(PROG, IoOp.WRITE, (log, b"second"))
+        client = yield call_io(IoOp.SELECT, tuple(range(sock, page + 1)))
+        request = yield call_io(IoOp.READ, client.value)
+        yield call_io(IoOp.WRITE, (client.value, b"re:" + request.value))
+        yield call_io(IoOp.WRITE, (log, b"second"))
         # append through a second descriptor; the first one's cursor stays put
-        again = yield call_io(PROG, IoOp.OPENFILE, ("/temp/page", (), 0))
-        yield call_io(PROG, IoOp.WRITE, (again.value, b"+tail"))
-        rest = yield call_io(PROG, IoOp.READ, page)
-        other = yield call_io(PROG, IoOp.ACCEPT, sock)
-        yield call_io(PROG, IoOp.CLOSE, page)
+        again = yield call_io(IoOp.OPENFILE, ("/temp/page", (), 0))
+        yield call_io(IoOp.WRITE, (again.value, b"+tail"))
+        rest = yield call_io(IoOp.READ, page)
+        other = yield call_io(IoOp.ACCEPT, sock)
+        yield call_io(IoOp.CLOSE, page)
         return request.value, rest.value, other.value
 
     return resume()

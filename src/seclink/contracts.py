@@ -33,7 +33,7 @@ is reported in-band as a contract failure and execution can recover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from typing import Any, Callable
 
@@ -48,38 +48,38 @@ class TypeDesc:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class UnitT(TypeDesc):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class IntT(TypeDesc):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class BytesT(TypeDesc):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class FdT(TypeDesc):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class ErrT(TypeDesc):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PairT(TypeDesc):
     fst: TypeDesc
     snd: TypeDesc
 
 
-@dataclass(frozen=True)
+@record
 class EitherT(TypeDesc):
     left: TypeDesc
     right: TypeDesc
@@ -95,7 +95,7 @@ class CheckKind(Enum):
     POST = "post"
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ArrowSpec:
     """Declared contract of a boundary function.
 
@@ -111,7 +111,7 @@ class ArrowSpec:
     post: Callable[[tuple, tuple, Any, tuple], bool] | None = None  # (args, h, r, lt)
 
 
-@dataclass(frozen=True)
+@record
 class ArrowT(TypeDesc):
     """A function type.  Equality and hashing are structural: the spec is a
     declaration about the arrow, not part of its type."""
@@ -222,25 +222,25 @@ class CheckTree:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Leaf(CheckTree):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class EmptyNode(CheckTree):
     left: CheckTree
     right: CheckTree
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Node(CheckTree):
     ck: Check
     left: CheckTree
     right: CheckTree
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class EffCheck:
     """A check as linking hands it out.  Enforcement calls `ck` once between
     two state reads; `phase1` is the form a source context may run: it reads

@@ -33,7 +33,6 @@ Concrete syntax::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import httputil
 from .contracts import (
@@ -58,7 +57,7 @@ from .contracts import (
     UnitT,
     components,
 )
-from .effects import Bind, IoOp, Ret, evaluate, is_err, ret
+from .effects import Bind, IoOp, Ret, evaluate, is_err, record, ret
 from .monitor import SecureIoLib
 
 # ---------------------------------------------------------------------------
@@ -121,58 +120,58 @@ class CtxExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Var(CtxExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Lam(CtxExpr):
     var: str
     ty: TypeDesc
     body: CtxExpr
 
 
-@dataclass(frozen=True)
+@record
 class App(CtxExpr):
     fn: CtxExpr
     arg: CtxExpr
 
 
-@dataclass(frozen=True)
+@record
 class IntLit(CtxExpr):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class BytesLit(CtxExpr):
     value: bytes
 
 
-@dataclass(frozen=True)
+@record
 class UnitLit(CtxExpr):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PairE(CtxExpr):
     fst: CtxExpr
     snd: CtxExpr
 
 
-@dataclass(frozen=True)
+@record
 class Proj(CtxExpr):
     side: str  # "fst" | "snd"
     expr: CtxExpr
 
 
-@dataclass(frozen=True)
+@record
 class Inject(CtxExpr):
     side: str  # "inl" | "inr"
     expr: CtxExpr
 
 
-@dataclass(frozen=True)
+@record
 class Case(CtxExpr):
     scrutinee: CtxExpr
     left_var: str
@@ -181,14 +180,14 @@ class Case(CtxExpr):
     right_body: CtxExpr
 
 
-@dataclass(frozen=True)
+@record
 class Let(CtxExpr):
     var: str
     bound: CtxExpr
     body: CtxExpr
 
 
-@dataclass(frozen=True)
+@record
 class IoCall(CtxExpr):
     op: IoOp
     arg: CtxExpr
@@ -221,7 +220,7 @@ _NAME_OF_TYPE = {t: name for name, t in _TYPE_NAMES.items()}
 _ESCAPES = {"n": b"\n", "r": b"\r", "t": b"\t", '"': b'"', "\\": b"\\"}
 
 
-@dataclass(frozen=True)
+@record
 class _Token:
     kind: str  # "int" | "str" | "ident" | "sym" | "eof"
     text: str

@@ -19,8 +19,10 @@ trusted function the context calls under one.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
+from operator import attrgetter
+from reprlib import recursive_repr
 from types import GeneratorType
 from typing import Any, Callable
 
@@ -65,21 +67,41 @@ class ErrCode(Enum):
 # (~0.19 µs against ~0.05 µs for a module global), so per-event code reads
 # members hoisted into module constants.  And `Enum.__hash__` is a Python
 # call on every dict lookup keyed by a member (~0.2 µs); ops, which compare
-# by identity, hash by identity in C.
+# by identity, hash by identity in C.  Import cost: a frozen dataclass compiles
+# about six methods with `exec`, nearly half the time it took to import seclink
+# from source, so `record` compiles only the constructor and shares the rest.
 _FACTORY = object()  # a parameter left to its field's default factory
+
+
+def _frozen(self, name, *value):  # `__setattr__` and `__delattr__`
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _record_reduce(self):  # rebuilt through the constructor, so no `__setstate__` is needed
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@recursive_repr()
+def _record_repr(self):
+    shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+    return f"{type(self).__qualname__}({shown})"
 
 
 def record(cls=None, /, *, eq=True):
     """`dataclass(frozen=True, slots=True, eq=eq)` with a constructor that
-    stores each field through its slot descriptor.  Keyword arguments,
-    defaults and default factories, `==`, `hash`, `repr`, `replace`,
-    `fields` and `FrozenInstanceError` are a frozen dataclass's; there is
-    no `__post_init__`."""
+    stores each field through its slot descriptor and then calls
+    `__post_init__`, if the class has one.  Keyword arguments, defaults and
+    default factories, `==`, `hash`, `repr`, `replace`, `fields`, `copy`,
+    `pickle` and `FrozenInstanceError` are a frozen dataclass's."""
 
     def wrap(cls):
-        cls = dataclass(frozen=True, slots=True, eq=eq, init=False)(cls)
+        if cls.__doc__ is None:  # `dataclass` would build one through `inspect.signature`
+            cls.__doc__ = f"{cls.__name__}({', '.join(cls.__dict__.get('__annotations__', ()))})"
+        cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
+        flds = fields(cls)
+        cls.__dataclass_params__.eq, cls.__dataclass_params__.frozen = eq, True
         ns, params, lines = {"_FACTORY": _FACTORY}, [], []
-        for f in fields(cls):
+        for f in flds:
             ns[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
             if f.default is not MISSING:
                 ns[f"_dflt_{f.name}"] = f.default
@@ -91,10 +113,21 @@ def record(cls=None, /, *, eq=True):
             else:
                 params.append(f.name)
             lines.append(f"_set_{f.name}(self, {f.name})")
+        if hasattr(cls, "__post_init__"):
+            lines.append("self.__post_init__()")
         body = "".join(f"\n    {line}" for line in lines or ["pass"])
         exec(f"def __init__(self, {', '.join(params)}):{body}", ns)
         ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.__init__ = ns["__init__"]
+        cls.__init__, cls.__setattr__, cls.__delattr__ = ns["__init__"], _frozen, _frozen
+        cls.__reduce__ = _record_reduce
+        if "__repr__" not in cls.__dict__:
+            cls.__repr__ = _record_repr
+        if eq:  # compared and hashed as a dataclass does: by the tuple of its compared fields
+            names = [f.name for f in flds if f.compare]
+            key = attrgetter(*names) if names else lambda self: ()  # a bare value for one field
+            hash_key = (lambda self: (key(self),)) if len(names) == 1 else key
+            cls.__eq__ = lambda a, b: key(a) == key(b) if b.__class__ is a.__class__ else NotImplemented
+            cls.__hash__ = lambda a: hash(hash_key(a))
         return cls
 
     return wrap if cls is None else wrap(cls)
@@ -170,12 +203,9 @@ class Comp:
     __slots__ = ()
 
 
-def _node(cls):
-    """A frozen `record` with no `__setstate__` to change it in place: a
-    context handed a tree of trusted code can run it, not rewrite it."""
-    cls = record(cls, eq=False)
-    del cls.__getstate__, cls.__setstate__
-    return cls
+# A frozen `record` compared by identity, with no `__setstate__` to change it
+# in place: a context handed a tree of trusted code can run it, not rewrite it.
+_node = record(eq=False)
 
 
 @_node

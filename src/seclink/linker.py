@@ -22,12 +22,11 @@ trace, the run of the compiled program against the original context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from .contracts import CheckTree, DynValue, TypeDesc, errors_fit, import_value, make_checks_eff
 from .contracts import shape_matches, strip_specs
-from .effects import Comp, Ret, _trusted, is_err
+from .effects import Comp, Ret, _trusted, is_err, record
 from .monitor import MStateDesc, Policy, SecureIoLib, enforce_policy
 from .traces import PolicySpec, PostCond
 
@@ -40,7 +39,7 @@ TargetCtx = Callable[[SecureIoLib], DynValue]
 SourceCtx = Callable[[SecureIoLib, CheckTree], Any]  # -> Ok(strong value) | Err
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SourceInterface:
     label: str
     ctype: TypeDesc
@@ -57,7 +56,7 @@ class SourceInterface:
             raise ValueError(f"{self.label}: a sum's error side must be a base type")
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TargetInterface:
     label: str
     ctype: TypeDesc

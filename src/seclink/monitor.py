@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import field
 from types import MappingProxyType
 from typing import Any, Callable, Generic, Iterable, TypeVar
 
@@ -37,7 +37,7 @@ _CLOSE, _READ, _WRITE, _PROG, _CTX = IoOp.CLOSE, IoOp.READ, IoOp.WRITE, Caller.P
 _DECIDERS = (_CLOSE,) + _ALLOCATORS
 
 
-@dataclass(frozen=True)
+@record
 class MStateDesc(Generic[S]):
     name: str
     init: S
@@ -71,7 +71,7 @@ def abstraction(desc: MStateDesc, events: Iterable[Event]):
 Policy = Callable[[Any, IoOp, Any], bool]
 
 
-@dataclass(frozen=True)
+@record
 class SecureIoLib:
     """The IO capability handed to untrusted code.
 

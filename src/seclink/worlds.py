@@ -21,6 +21,7 @@ import base64
 import copy
 import json
 from dataclasses import dataclass, field, replace
+from operator import index
 
 from .effects import Caller, Err, ErrCode, IoOp, Ok, Result
 
@@ -158,15 +159,25 @@ def _append(table: dict, key, data: bytes) -> bytearray:
     return buf
 
 
-def _fields(*casts):
-    """Canonicaliser of a fixed-size argument tuple: one cast per field."""
+def _fields(*kinds):
+    """Canonicaliser of a fixed-size argument tuple.  A field's kind is the types
+    it takes, `()` for any value: a value of the first type is kept, one of
+    another is cast to the first, and any other value raises `TypeError`."""
     def canon(arg):
         fields = tuple(arg)
-        if len(fields) != len(casts):
-            raise ValueError(f"expected {len(casts)} fields, got {arg!r}")
-        return tuple([cast(x) for cast, x in zip(casts, fields)])
+        if len(fields) != len(kinds):
+            raise ValueError(f"expected {len(kinds)} fields, got {arg!r}")
+        return tuple(
+            [x if not kind or type(x) is kind[0] else _cast(kind, x) for kind, x in zip(kinds, fields)]
+        )
 
     return canon
+
+
+def _cast(kind, x):
+    if isinstance(x, kind):
+        return kind[0](x)
+    raise TypeError(f"expected {kind[0].__name__}, got {x!r}")
 
 
 class _ByOp(dict):
@@ -253,21 +264,24 @@ def _close(world: World, fd) -> Result:
     return _OK_UNIT
 
 
-_open_fields = _fields(str, tuple, int)
+# An `int`, `bool` included, and never a string or float: `operator.index`
+# for an argument that is one integer, the `_INT` kind for a field.
+_INT, _STR, _SEQ, _BYTES = (int,), (str,), (tuple, list), (bytes, bytearray)
+_open_fields = _fields(_STR, _SEQ, _INT)
 
 # One row per op: (canonicaliser of its argument, its step on the world).
 _OPS = {
     IoOp.OPENFILE: (lambda arg: (arg, (), 0) if isinstance(arg, str) else _open_fields(arg), _openfile),
     IoOp.SOCKET: (lambda arg: (), lambda world, arg: Ok(_alloc(world, SocketFd()))),
-    IoOp.SETSOCKOPT: (_fields(int, str, lambda value: value), _on_socket(lambda entry: None)),
-    IoOp.BIND: (_fields(int, str, int), _on_socket(lambda entry: None)),
-    IoOp.LISTEN: (_fields(int, int), _on_socket(lambda entry: setattr(entry, "listening", True))),
-    IoOp.SETNONBLOCK: (int, lambda world, fd: _OK_UNIT if fd in world.fds else _EBADF),
-    IoOp.ACCEPT: (int, _accept),
-    IoOp.SELECT: (lambda arg: tuple(int(fd) for fd in arg), _select),
-    IoOp.READ: (int, _read),
-    IoOp.WRITE: (_fields(int, bytes), _write),
-    IoOp.CLOSE: (int, _close),
+    IoOp.SETSOCKOPT: (_fields(_INT, _STR, ()), _on_socket(lambda entry: None)),
+    IoOp.BIND: (_fields(_INT, _STR, _INT), _on_socket(lambda entry: None)),
+    IoOp.LISTEN: (_fields(_INT, _INT), _on_socket(lambda entry: setattr(entry, "listening", True))),
+    IoOp.SETNONBLOCK: (index, lambda world, fd: _OK_UNIT if fd in world.fds else _EBADF),
+    IoOp.ACCEPT: (index, _accept),
+    IoOp.SELECT: (lambda arg: tuple(map(index, _cast(_SEQ, arg))), _select),
+    IoOp.READ: (index, _read),
+    IoOp.WRITE: (_fields(_INT, _BYTES), _write),
+    IoOp.CLOSE: (index, _close),
 }
 # Split once, so each event costs one dict lookup per table and no tuple index.
 _CANON = _ByOp({op: row[0] for op, row in _OPS.items()})

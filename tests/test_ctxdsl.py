@@ -121,6 +121,22 @@ def test_parse_errors_carry_positions(text):
     assert "offset" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 $ 2", "at offset 2: unexpected character '$'"),
+        ('"a\\qb"', "at offset 0: unknown escape \\q"),
+        ("\\x:5. x", "at offset 3: expected a type, found '5'"),
+        ("in", "at offset 0: unexpected keyword 'in'"),
+        ("x )", "at offset 2: trailing input starting at ')'"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 # -- typing --------------------------------------------------------------------
 
 

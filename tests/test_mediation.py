@@ -201,19 +201,35 @@ def answering_handler(outcomes, make_call=None):
     return handler
 
 
+# Malformed arguments, among them two a cast would accept: a payload of 5
+# (five zero bytes) and the flags "O_CREAT" (a tuple of its letters).
+JUNK_ARGS = (
+    (IoOp.WRITE, 42),
+    (IoOp.WRITE, (1, 5)),
+    (IoOp.WRITE, (1, "text")),
+    (IoOp.OPENFILE, ("/temp/a", "O_CREAT", 0)),
+    (IoOp.OPENFILE, (b"/temp/a", (), 0)),
+    (IoOp.READ, "3"),
+    (IoOp.CLOSE, 3.0),
+    (IoOp.SELECT, "3"),
+)
+
+
 def test_malformed_context_call_fails_in_band(ws_bundle):
-    outcomes = []
     world, desc = ws_bundle.worlds[1], ws_bundle.interface.mstate
-    junk_handler = answering_handler(outcomes, lambda lib: lib.call(IoOp.WRITE, 42))
-    junk = interpret(link_whole(ws_bundle, junk_handler), world, desc)
     plain = interpret(link_whole(ws_bundle, answering_handler([])), world, desc)
-    assert outcomes == [contract_failure("ctx:junk")]
-    assert (junk.local, junk.mstate, junk.result) == (plain.local, plain.mstate, plain.result)
+    for op, arg in JUNK_ARGS:
+        outcomes = []
+        junk_handler = answering_handler(outcomes, lambda lib: lib.call(op, arg))
+        junk = interpret(link_whole(ws_bundle, junk_handler), world, desc)
+        assert outcomes == [contract_failure("ctx:junk")], (op, arg)
+        assert (junk.local, junk.mstate, junk.result) == (plain.local, plain.mstate, plain.result)
 
 
 def test_malformed_program_call_still_raises():
-    with pytest.raises(TypeError):
-        interpret(call_io(IoOp.WRITE, 42), make_world(), webserver_mstate())
+    for op, arg in JUNK_ARGS:
+        with pytest.raises(TypeError):
+            interpret(call_io(op, arg), make_world(), webserver_mstate())
     with pytest.raises(TypeError, match="unknown operation 'Frobnicate'"):
         interpret(call_io("Frobnicate", ()), make_world(), webserver_mstate())
     outcome = interpret(guard(call_io("Frobnicate", ()), webserver.policy), make_world(), webserver_mstate())

@@ -2,43 +2,56 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import importlib
+import pickle
+import pkgutil
 from dataclasses import FrozenInstanceError, fields, make_dataclass, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seclink import contracts
-from seclink.effects import Caller, Err, ErrCode, Event, IoOp, Ok
+import seclink
+from seclink.effects import Caller, Err, ErrCode, IoOp, Ok, _Trusted
 from seclink.monitor import WebServerState, Written
 
-RECORDS = (
-    Ok,
-    Err,
-    Event,
-    contracts.DUnit,
-    contracts.DInt,
-    contracts.DBytes,
-    contracts.DFd,
-    contracts.DErr,
-    contracts.DPair,
-    contracts.DLeft,
-    contracts.DRight,
-    contracts.DClosure,
-    WebServerState,
-)
-CUSTOM_REPR = (Ok, Err)
+
+def _frozen_classes():
+    """Every frozen dataclass in seclink, in definition order: each is a `record`."""
+    found = {}
+    for info in pkgutil.walk_packages(seclink.__path__, "seclink."):
+        module = importlib.import_module(info.name)
+        for cls in vars(module).values():  # `ret` names `Ret` too, hence the dict
+            if isinstance(cls, type) and cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls):
+                found[cls] = cls.__dataclass_params__.frozen
+    return [cls for cls, frozen in found.items() if frozen]
+
+
+# A `__post_init__` makes a class more than its fields, and `_Trusted` cannot
+# be called (tests/test_demos.py checks it); every other record has a twin.
+RECORDS = tuple(cls for cls in _frozen_classes() if not hasattr(cls, "__post_init__") and cls is not _Trusted)
+
+
+def _own_repr(cls):
+    return cls.__repr__.__qualname__ == f"{cls.__qualname__}.__repr__"
 
 
 def _twin(cls):
-    """A plain `@dataclass(frozen=True)` with the same fields, defaults and
-    hand-written `__repr__`."""
+    """A plain `@dataclass(frozen=True)` with the same fields, field flags,
+    defaults and hand-written `__repr__`."""
     specs = [
-        (f.name, f.type, dataclasses.field(default=f.default, default_factory=f.default_factory))
+        (
+            f.name,
+            f.type,
+            dataclasses.field(
+                default=f.default, default_factory=f.default_factory, repr=f.repr, hash=f.hash, compare=f.compare
+            ),
+        )
         for f in fields(cls)
     ]
-    namespace = {"__repr__": cls.__repr__} if cls in CUSTOM_REPR else {}
+    namespace = {"__repr__": cls.__repr__} if _own_repr(cls) else {}
     return make_dataclass(cls.__name__, specs, frozen=True, eq=cls.__dataclass_params__.eq, namespace=namespace)
 
 
@@ -66,7 +79,7 @@ def _hash(obj):
         return ("unhashable", str(exc))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(st.sampled_from(RECORDS), st.data())
 def test_records_match_their_frozen_dataclass_twins(cls, data):
     twin, names = TWINS[cls], [f.name for f in fields(cls)]
@@ -88,11 +101,23 @@ def test_records_match_their_frozen_dataclass_twins(cls, data):
     for name, new in zip(names, other):
         changed, changed_ref = replace(rec, **{name: new}), replace(ref, **{name: new})
         assert type(changed) is cls and _field_values(changed) == _field_values(changed_ref)
+        assert (changed == rec) == (changed_ref == ref)  # one field changed: its `compare` flag decides
         with pytest.raises(FrozenInstanceError):
             setattr(rec, name, new)
         with pytest.raises(FrozenInstanceError):
             delattr(rec, name)
     assert _field_values(rec) == args
+    for again in (copy.copy(rec), pickle.loads(pickle.dumps(rec))):
+        assert type(again) is cls and _field_values(again) == args
+
+
+def test_every_record_is_covered():
+    names = {cls.__name__ for cls in RECORDS}
+    assert len(names) == len(RECORDS)  # the test ids below are unique
+    assert {"Ok", "Err", "Event", "DInt", "WebServerState", "ArrowT", "Leaf", "EffCheck", "Var", "_Token"} <= names
+    assert {"TargetInterface", "SecureIoLib", "Call", "_Guard"} <= names
+    assert {cls for cls in RECORDS if _own_repr(cls)} == {Ok, Err}
+    assert not any(cls.__name__ in ("MStateDesc", "SourceInterface") for cls in RECORDS)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)

@@ -157,6 +157,20 @@ def test_scenario_validation_errors(payload):
         load_scenario(payload)
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ('{"requests": {"client_id": 1}}', '"requests" must be a list'),
+        ('{"requests": [{"client_id": 1, "raw_request_bytes": "R0VU"}, '
+         '{"client_id": 2, "raw_request_bytes": "not base64!!"}]}', "request 1: bad base64 bytes"),
+    ],
+)
+def test_scenario_error_messages(payload, message):
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(payload)
+    assert str(exc.value) == message
+
+
 # -- the caller tags the trace, not the outcome -----------------------------------
 
 _FDS = st.integers(0, 8)

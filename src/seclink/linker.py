@@ -33,10 +33,11 @@ from .traces import PolicySpec, PostCond
 # Exit code of a whole program whose context failed to import outright.
 LINK_FAILURE_EXIT = -1
 
-SourceProg = Callable[[Any], Comp]  # strong context value -> whole computation
-TargetProg = Callable[[DynValue], Comp]
-TargetCtx = Callable[[SecureIoLib], DynValue]
-SourceCtx = Callable[[SecureIoLib, CheckTree], Any]  # -> Ok(strong value) | Err
+# Strings: `typing` caches a subscripted alias, and with it this whole import.
+SourceProg = "Callable[[Any], Comp]"  # strong context value -> whole computation
+TargetProg = "Callable[[DynValue], Comp]"
+TargetCtx = "Callable[[SecureIoLib], DynValue]"
+SourceCtx = "Callable[[SecureIoLib, CheckTree], Any]"  # -> Ok(strong value) | Err
 
 
 @record(eq=False)

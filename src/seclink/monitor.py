@@ -67,8 +67,8 @@ def abstraction(desc: MStateDesc, events: Iterable[Event]):
     return functools.reduce(desc.alpha_step, events, desc.alpha_init)
 
 
-# (state, op, arg) -> allow?
-Policy = Callable[[Any, IoOp, Any], bool]
+# (state, op, arg) -> allow?  A string, as `linker`'s aliases are.
+Policy = "Callable[[Any, IoOp, Any], bool]"
 
 
 @record

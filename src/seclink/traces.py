@@ -21,10 +21,10 @@ from .effects import Caller, Event, IoOp, Ok, Trace
 # Hoisted (see the note in `effects`).
 _READ, _WRITE, _CLOSE, _PROG, _CTX = IoOp.READ, IoOp.WRITE, IoOp.CLOSE, Caller.PROG, Caller.CTX
 
-# (history, caller, op, arg) -> allowed?
-PolicySpec = Callable[[Trace, Caller, IoOp, Any], bool]
+# (history, caller, op, arg) -> allowed?  Strings, as `linker`'s aliases are.
+PolicySpec = "Callable[[Trace, Caller, IoOp, Any], bool]"
 # (history, result, local trace) -> acceptable?
-PostCond = Callable[[Trace, Any, Trace], bool]
+PostCond = "Callable[[Trace, Any, Trace], bool]"
 
 
 def enforced_locally(policy_spec: PolicySpec, h: Trace, lt: Iterable[Event]) -> bool:

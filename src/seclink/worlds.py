@@ -160,11 +160,11 @@ def _append(table: dict, key, data: bytes) -> bytearray:
 
 
 def _fields(*kinds):
-    """Canonicaliser of a fixed-size argument tuple.  A field's kind is the types
-    it takes, `()` for any value: a value of the first type is kept, one of
-    another is cast to the first, and any other value raises `TypeError`."""
+    """Canonicaliser of a fixed-size tuple or list argument.  A field's kind is
+    the types it takes, `()` for any value: a value of the first type is kept,
+    one of another is cast to the first, and any other value raises `TypeError`."""
     def canon(arg):
-        fields = tuple(arg)
+        fields = arg if type(arg) is tuple else _cast(_SEQ, arg)
         if len(fields) != len(kinds):
             raise ValueError(f"expected {len(kinds)} fields, got {arg!r}")
         return tuple(

@@ -201,24 +201,46 @@ def answering_handler(outcomes, make_call=None):
     return handler
 
 
-# Malformed arguments, among them two a cast would accept: a payload of 5
-# (five zero bytes) and the flags "O_CREAT" (a tuple of its letters).
-JUNK_ARGS = (
-    (IoOp.WRITE, 42),
-    (IoOp.WRITE, (1, 5)),
-    (IoOp.WRITE, (1, "text")),
-    (IoOp.OPENFILE, ("/temp/a", "O_CREAT", 0)),
-    (IoOp.OPENFILE, (b"/temp/a", (), 0)),
-    (IoOp.READ, "3"),
-    (IoOp.CLOSE, 3.0),
-    (IoOp.SELECT, "3"),
-)
+# Fields a well-formed argument of each op would carry, put in a container
+# that is not a tuple or list.  Iterating the dict, the set or the generator
+# would give exactly those fields (the set in hash order).
+_FIELDS = {
+    IoOp.WRITE: (4, b"x"),
+    IoOp.BIND: (3, "0.0.0.0", 80),
+    IoOp.LISTEN: (3, 5),
+    IoOp.SETSOCKOPT: (3, "SO_REUSEADDR", 1),
+    IoOp.OPENFILE: ("/temp/a", (), 0),
+}
+
+
+def junk_args():
+    """Malformed arguments, built afresh each time since a generator is one of
+    them.  Among them are those a cast would accept: a payload of 5 (five zero
+    bytes), the flags "O_CREAT" (a tuple of its letters), and fields in a dict,
+    a set or a generator.  A string is junk for each op but `Openfile`, whose
+    argument may be a bare path."""
+    yield from (
+        (IoOp.WRITE, 42),
+        (IoOp.WRITE, (1, 5)),
+        (IoOp.WRITE, (1, "text")),
+        (IoOp.OPENFILE, ("/temp/a", "O_CREAT", 0)),
+        (IoOp.OPENFILE, (b"/temp/a", (), 0)),
+        (IoOp.READ, "3"),
+        (IoOp.CLOSE, 3.0),
+        (IoOp.SELECT, "3"),
+    )
+    for op, fields in _FIELDS.items():
+        yield op, dict.fromkeys(fields, 0)
+        yield op, set(fields)
+        yield op, (x for x in fields)
+        if op is not IoOp.OPENFILE:
+            yield op, "4x"
 
 
 def test_malformed_context_call_fails_in_band(ws_bundle):
     world, desc = ws_bundle.worlds[1], ws_bundle.interface.mstate
     plain = interpret(link_whole(ws_bundle, answering_handler([])), world, desc)
-    for op, arg in JUNK_ARGS:
+    for op, arg in junk_args():
         outcomes = []
         junk_handler = answering_handler(outcomes, lambda lib: lib.call(op, arg))
         junk = interpret(link_whole(ws_bundle, junk_handler), world, desc)
@@ -227,7 +249,7 @@ def test_malformed_context_call_fails_in_band(ws_bundle):
 
 
 def test_malformed_program_call_still_raises():
-    for op, arg in JUNK_ARGS:
+    for op, arg in junk_args():
         with pytest.raises(TypeError):
             interpret(call_io(op, arg), make_world(), webserver_mstate())
     with pytest.raises(TypeError, match="unknown operation 'Frobnicate'"):

@@ -7,6 +7,7 @@ leave the generator in the same state, so every seed gives the same report.
 
 from __future__ import annotations
 
+import os
 import random
 import re
 import subprocess
@@ -20,8 +21,10 @@ from oracles import ReferenceSampleSpace
 from test_validate import _weakened
 
 from seclink import validate
+from seclink.contracts import BytesT, EitherT, ErrT, FdT, IntT, PairT, UnitT
 from seclink.demos import BUNDLES
 from seclink.demos.harness import webserver_interface
+from seclink.effects import Ok, contract_failure
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -94,7 +97,9 @@ print(validate_interface(_weakened(webserver_interface()), samples=300, seed=0).
 
 
 def test_counterexample_text_is_the_same_in_every_process():
-    env = {"PYTHONPATH": f"{ROOT / 'src'}:{ROOT / 'tests'}"}
+    # The caller's environment (`PYTHONDONTWRITEBYTECODE` among it), but a hash
+    # seed of each process's own, which the text must not depend on.
+    env = {**os.environ, "PYTHONPATH": f"{ROOT / 'src'}:{ROOT / 'tests'}", "PYTHONHASHSEED": "random"}
     outs = [
         subprocess.run(
             [sys.executable, "-c", _REPORT_SCRIPT], env=env, capture_output=True, check=True, timeout=120
@@ -103,3 +108,24 @@ def test_counterexample_text_is_the_same_in_every_process():
     ]
     assert b"COUNTEREXAMPLE" in outs[0] and b"<sampled closure>" in outs[0]
     assert outs[0] == outs[1]
+
+
+# Argument domains no shipped interface reaches: an int, a unit, a pair and a sum.
+_DOMS = (IntT(), UnitT(), PairT(FdT(), BytesT()), EitherT(IntT(), ErrT()))
+
+
+def test_args_for_unshipped_domains():
+    iface = INTERFACES["webserver"]
+    space = lambda seed: validate.SampleSpace(random.Random(seed), iface.policy_spec, iface.mstate)
+    sums = []
+    for seed in range(40):
+        args = space(seed).args_for(_DOMS)
+        assert args == space(seed).args_for(_DOMS), seed
+        assert args == ReferenceSampleSpace(random.Random(seed), iface.policy_spec, iface.mstate).args_for(_DOMS)
+        n, unit, (fd, data), either = args
+        assert type(n) is int and -2 <= n < 10
+        assert unit == ()
+        assert fd in validate._FDS and data in validate._BYTES
+        assert either == contract_failure("sampled") or (type(either) is Ok and -2 <= either.value < 10)
+        sums.append(type(either) is Ok)
+    assert any(sums) and not all(sums)  # both sides of the sum are drawn

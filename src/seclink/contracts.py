@@ -16,7 +16,7 @@ carrying a spec, an `EmptyNode` descends through structure, and a `Leaf`
 closes a subtree with nothing to check.  Whether a node's check guards the
 call (a pre-condition) or judges its outcome (a post-condition) is declared
 by the function type's spec.  Enforcing a check reads the state twice and
-calls the predicate once; `EffCheck.phase1` is its source-level form.
+calls the predicate once.
 
 How a tree lines up with a type is written once, in `subtrees`: a node's
 left child goes with a pair's first side, a sum's left side, or an arrow's
@@ -83,11 +83,6 @@ class PairT(TypeDesc):
 class EitherT(TypeDesc):
     left: TypeDesc
     right: TypeDesc
-
-
-def option_t(payload: TypeDesc) -> EitherT:
-    """Options are sums with a unit miss case on the error side."""
-    return EitherT(payload, UnitT())
 
 
 class CheckKind(Enum):
@@ -208,7 +203,7 @@ _BASE_IMPORTERS = {t: _base_importer(t, shape, native) for t, (shape, _, native)
 
 
 # ---------------------------------------------------------------------------
-# Check trees and effectful checks
+# Check trees
 # ---------------------------------------------------------------------------
 
 # (x, state-before, y, state-after) -> verdict
@@ -238,33 +233,6 @@ class Node(CheckTree):
     ck: Check
     left: CheckTree
     right: CheckTree
-
-
-@record(eq=False)
-class EffCheck:
-    """A check as linking hands it out.  Enforcement calls `ck` once between
-    two state reads; `phase1` is the form a source context may run: it reads
-    the state and returns the second phase, which reads it again and decides."""
-
-    ck: Check
-
-    def phase1(self, x) -> Comp:
-        def got_before(s0):
-            phase2 = lambda y: Bind(_READ, lambda s1: Ret((s1, bool(self.ck(x, s0, y, s1)))))
-            return Ret((s0, phase2))
-
-        return Bind(_READ, got_before)
-
-
-def make_checks_eff(tree: CheckTree) -> CheckTree:
-    """Lift every check in the tree to its two-phase effectful form."""
-    if isinstance(tree, Leaf):
-        return tree
-    if isinstance(tree, EmptyNode):
-        return EmptyNode(make_checks_eff(tree.left), make_checks_eff(tree.right))
-    if isinstance(tree, Node):
-        return Node(EffCheck(tree.ck), make_checks_eff(tree.left), make_checks_eff(tree.right))
-    raise TypeError(f"not a check tree: {tree!r}")
 
 
 def components(td: TypeDesc) -> tuple[TypeDesc, ...]:
@@ -340,7 +308,7 @@ def _guard(td: ArrowT, cks: CheckTree) -> Callable[[Callable[..., Comp]], Callab
         return _step_guard
     if td.spec is None:
         raise ValueError("check node at an arrow without a spec")
-    ck = cks.ck.ck if isinstance(cks.ck, EffCheck) else cks.ck
+    ck = cks.ck
     failure = Ret(contract_failure(f"{td.spec.kind.value}:{_label(td)}"))
 
     def pre(f):

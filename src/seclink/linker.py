@@ -5,8 +5,8 @@ strong type with its contract declarations, the trace-level specification
 and the state-level policy that enforces it, the check tree, the whole-run
 post-condition, and the monitor state.  Compiling erases the contract
 declarations from the published type; linking supplies the secure IO
-library and the effectful checks, and puts the library's policy in force
-around the program, so it decides each call the context makes.
+library and the check tree, and puts the library's policy in force around
+the program, so it decides each call the context makes.
 
 A context with initial control is a context at a higher-order type: it
 takes the trusted program's library as its argument (say `logger -> int`),
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .contracts import CheckTree, DynValue, TypeDesc, errors_fit, import_value, make_checks_eff
+from .contracts import CheckTree, DynValue, TypeDesc, errors_fit, import_value
 from .contracts import shape_matches, strip_specs
 from .effects import Comp, Ret, _trusted, is_err, record
 from .monitor import MStateDesc, Policy, SecureIoLib, enforce_policy
@@ -37,7 +37,7 @@ LINK_FAILURE_EXIT = -1
 SourceProg = "Callable[[Any], Comp]"  # strong context value -> whole computation
 TargetProg = "Callable[[DynValue], Comp]"
 TargetCtx = "Callable[[SecureIoLib], DynValue]"
-SourceCtx = "Callable[[SecureIoLib, CheckTree], Any]"  # -> Ok(strong value) | Err
+SourceCtx = "Callable[[SecureIoLib, CheckTree], Any]"  # (library, check tree) -> Ok(strong value) | Err
 
 
 @record(eq=False)
@@ -78,10 +78,8 @@ def compile_interface(iface: SourceInterface) -> TargetInterface:
 
 def compile_prog(iface: SourceInterface, prog: SourceProg) -> TargetProg:
     """Wrap the program so it imports its context through the contracts."""
-    eff_cks = make_checks_eff(iface.cks)
-
     def target_prog(dyn_ctx: DynValue) -> Comp:
-        imported = import_value(iface.ctype, eff_cks, dyn_ctx)
+        imported = import_value(iface.ctype, iface.cks, dyn_ctx)
         if is_err(imported):
             return Ret(LINK_FAILURE_EXIT)
         return prog(imported.value)
@@ -96,18 +94,18 @@ def link_target(iface: TargetInterface, prog: TargetProg, ctx: TargetCtx) -> Com
 
 def link_source(iface: SourceInterface, prog: SourceProg, ctx: SourceCtx):
     """Source-level linking: the context receives the secure library and
-    the effectful checks, aligning its capabilities with a target context.
+    the check tree, aligning its capabilities with a target context.
     Returns the interface post-condition with the whole computation."""
     lib = enforce_policy(iface.policy, iface.mstate)
-    strong = ctx(lib, make_checks_eff(iface.cks))
+    strong = ctx(lib, iface.cks)
     if is_err(strong):
         return iface.whole_run_post, Ret(LINK_FAILURE_EXIT)
     return iface.whole_run_post, _trusted(prog(strong.value), lib.policy)
 
 
 def back_translate_ctx(iface: SourceInterface, ctx: TargetCtx) -> SourceCtx:
-    def source_ctx(lib: SecureIoLib, eff_cks: CheckTree):
-        return import_value(iface.ctype, eff_cks, ctx(lib))
+    def source_ctx(lib: SecureIoLib, cks: CheckTree):
+        return import_value(iface.ctype, cks, ctx(lib))
 
     return source_ctx
 

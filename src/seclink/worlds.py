@@ -288,11 +288,6 @@ _CANON = _ByOp({op: row[0] for op, row in _OPS.items()})
 _STEPS = _ByOp({op: row[1] for op, row in _OPS.items()})
 
 
-def canon_arg(op: IoOp, arg):
-    """Normalise an op argument to its canonical hashable form."""
-    return _CANON[op](arg)
-
-
 def step(world: World, caller: Caller, op: IoOp, arg) -> Result:
     """Apply one IO operation to the world and return its in-band result."""
     return _STEPS[op](world, arg)

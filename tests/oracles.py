@@ -43,7 +43,7 @@ from seclink.ctxdsl import (
     typecheck,
 )
 from seclink.contracts import ArrowT, BytesT, EitherT, ErrT, FdT, IntT, PairT, UnitT
-from seclink.contracts import _BASE_SHAPES, CheckKind, CheckTree, EffCheck, Node, subtrees
+from seclink.contracts import _BASE_SHAPES, CheckKind, CheckTree, Node, subtrees
 from seclink.effects import Bind, Call, Caller, Comp, Err, ErrCode, Event, IoOp, Ok, Ret, bind, contract_failure
 from seclink.effects import evaluate, get_mstate, is_err, is_ok, ret
 from seclink.monitor import MStateDesc, SecureIoLib, replay
@@ -445,17 +445,16 @@ def _ref_apply_node(td: ArrowT, cks: CheckTree, f):
         return lambda *args: Bind(Ret(args), start)
     if td.spec is None:
         raise ValueError("check node at an arrow without a spec")
-    eff_ck = cks.ck if isinstance(cks.ck, EffCheck) else EffCheck(cks.ck)
     if td.spec.kind is CheckKind.PRE:
-        return _ref_enforce_pre(eff_ck, f, _ref_label(td))
-    return _ref_enforce_post(eff_ck, f, _ref_label(td))
+        return _ref_enforce_pre(cks.ck, f, _ref_label(td))
+    return _ref_enforce_post(cks.ck, f, _ref_label(td))
 
 
 _REF_READ = get_mstate()
 
 
-def _ref_enforce_pre(eff_ck, f, label):
-    ck, failure = eff_ck.ck, Ret(contract_failure(f"pre:{label}"))
+def _ref_enforce_pre(ck, f, label):
+    failure = Ret(contract_failure(f"pre:{label}"))
 
     def wrapped(*args):
         before = lambda s0: Bind(_REF_READ, lambda s1: f(*args) if ck(args, s0, (), s1) else failure)
@@ -464,8 +463,8 @@ def _ref_enforce_pre(eff_ck, f, label):
     return wrapped
 
 
-def _ref_enforce_post(eff_ck, f, label):
-    ck, failure = eff_ck.ck, Ret(contract_failure(f"post:{label}"))
+def _ref_enforce_post(ck, f, label):
+    failure = Ret(contract_failure(f"post:{label}"))
 
     def wrapped(*args):
         def before(s0):

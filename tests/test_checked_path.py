@@ -30,7 +30,6 @@ from seclink.contracts import (
     UnitT,
     export_value,
     import_value,
-    make_checks_eff,
 )
 from seclink.demos import webserver_bundle
 from seclink.demos.harness import link_whole
@@ -94,7 +93,6 @@ def recording_target(started):
 
 SEND = ArrowT((BytesT(),), EitherT(UnitT(), ErrT()), ArrowSpec("send", CheckKind.PRE))
 HANDLER = ArrowT((BytesT(),), EitherT(UnitT(), ErrT()), ArrowSpec("handler", CheckKind.POST))
-LIFTS = {"plain": lambda tree: tree, "effectful": make_checks_eff}
 POST_SEND = replace(SEND, spec=ArrowSpec("handler", CheckKind.POST))  # trusted, judged after the call
 
 
@@ -133,12 +131,11 @@ def test_post_reads_around_the_call_and_judges_its_result(verdict):
     assert started == [(b"x",)] and [c.op for c in calls] == [IoOp.WRITE]
 
 
-@pytest.mark.parametrize("lift", sorted(LIFTS))
 @pytest.mark.parametrize("verdict", [True, False])
-def test_exported_checked_arrow_keeps_the_protocol(lift, verdict):
+def test_exported_checked_arrow_keeps_the_protocol(verdict):
     ck, seen = recording_check(verdict)
     started = []
-    dclo = export_value(SEND, LIFTS[lift](Node(ck, Leaf(), Leaf())), recording_target(started))
+    dclo = export_value(SEND, Node(ck, Leaf(), Leaf()), recording_target(started))
     value, reads, calls = drive(dclo.fn(DBytes(b"x")))
     if verdict:
         assert value == DLeft(DUnit()) and len(calls) == 1
@@ -148,9 +145,8 @@ def test_exported_checked_arrow_keeps_the_protocol(lift, verdict):
     assert len(reads) == 2 and seen == [((b"x",), reads[0], (), reads[1])]
 
 
-@pytest.mark.parametrize("lift", sorted(LIFTS))
 @pytest.mark.parametrize("verdict", [True, False])
-def test_imported_checked_arrow_keeps_the_protocol(lift, verdict):
+def test_imported_checked_arrow_keeps_the_protocol(verdict):
     ck, seen = recording_check(verdict)
     entered = []
 
@@ -158,7 +154,7 @@ def test_imported_checked_arrow_keeps_the_protocol(lift, verdict):
         entered.append(darg)
         return ret(DLeft(DUnit()))
 
-    imported = import_value(HANDLER, LIFTS[lift](Node(ck, Leaf(), Leaf())), DClosure(ctx_fn))
+    imported = import_value(HANDLER, Node(ck, Leaf(), Leaf()), DClosure(ctx_fn))
     value, reads, calls = drive(imported.value(b"x"))
     assert value == (Ok(()) if verdict else contract_failure("post:handler"))
     assert entered == [DBytes(b"x")] and calls == []

@@ -28,19 +28,16 @@ from seclink.contracts import (
     Leaf,
     Node,
     PairT,
-    EffCheck,
     UnitT,
     export_value,
     import_value,
-    make_checks_eff,
-    option_t,
     shape_matches,
     strip_specs,
 )
 from seclink.ctxdsl import TypecheckError, parse, typecheck
 from seclink.demos import BUNDLES, webserver
 from seclink.demos.dsl_handlers import DSL_HANDLER_SOURCES
-from seclink.effects import Err, ErrCode, IoOp, Ok, call_io, contract_failure, do, guard, is_err, ret
+from seclink.effects import Err, ErrCode, IoOp, Ok, call_io, contract_failure, do, is_err, ret
 from seclink.interp import interpret
 from seclink.monitor import webserver_mstate
 from seclink.validate import collect_specced_arrows
@@ -64,8 +61,8 @@ def run(comp, world=None):
         (PairT(IntT(), BytesT()), (1, b"x"), DPair(DInt(1), DBytes(b"x"))),
         (EitherT(IntT(), ErrT()), Ok(3), DLeft(DInt(3))),
         (EitherT(IntT(), ErrT()), Err(ErrCode.EBADF), DRight(DErr(ErrCode.EBADF))),
-        (option_t(IntT()), Ok(3), DLeft(DInt(3))),
-        (option_t(IntT()), Err(()), DRight(DUnit())),
+        (EitherT(IntT(), UnitT()), Ok(3), DLeft(DInt(3))),
+        (EitherT(IntT(), UnitT()), Err(()), DRight(DUnit())),
     ],
 )
 def test_round_trip(td, native, dyn):
@@ -83,6 +80,12 @@ def test_import_rejects_non_closure_at_arrow():
     assert is_err(import_value(arrow, Leaf(), DInt(3)))
 
 
+def test_check_node_at_an_arrow_without_a_spec_raises():
+    arrow, node = ArrowT((IntT(),), EitherT(IntT(), ErrT())), Node(lambda *a: True, Leaf(), Leaf())
+    with pytest.raises(ValueError, match="check node at an arrow without a spec"):
+        import_value(arrow, node, DClosure(lambda x: ret(DLeft(x))))
+
+
 # Junk a plugin can hand back at structured types: each is refused in-band,
 # with the label of the innermost type that did not match.
 _PAIR, _SUM = PairT(IntT(), BytesT()), EitherT(IntT(), ErrT())
@@ -98,7 +101,7 @@ _PAIR, _SUM = PairT(IntT(), BytesT()), EitherT(IntT(), ErrT())
         (_SUM, DLeft(DBytes(b"x")), "import:IntT"),
         (_SUM, DPair(DInt(1), DInt(2)), "import:EitherT"),
         (_SUM, DUnit(), "import:EitherT"),
-        (option_t(IntT()), DRight(DInt(0)), "import:UnitT"),
+        (EitherT(IntT(), UnitT()), DRight(DInt(0)), "import:UnitT"),
     ],
     ids=["non-pair", "bad-second", "bad-first", "bad-right", "bad-left", "pair-at-sum", "unit-at-sum", "bad-miss"],
 )
@@ -237,50 +240,6 @@ def test_aligned_trees_match_and_collect_in_order(case):
         assert not shape_matches(td, mutant)
 
 
-# -- effectful checks ----------------------------------------------------------
-
-
-def test_effectful_check_phases_emit_no_events():
-    seen = {}
-
-    def ck(x, s0, y, s1):
-        seen["states"] = (s0, s1)
-        return True
-
-    eff = EffCheck(ck)
-
-    @do
-    def comp():
-        s0, phase2 = yield eff.phase1((1,))
-        _s1, verdict = yield phase2("done")
-        return verdict
-
-    result = run(comp())
-    assert result.result is True
-    assert result.local == ()
-    assert seen["states"][0] == seen["states"][1] == webserver_mstate().init
-
-
-def test_effectful_check_sees_state_change():
-    captured = {}
-
-    def ck(x, s0, y, s1):
-        captured["pair"] = (s0.ctx_opened, s1.ctx_opened)
-        return len(s1.ctx_opened) > len(s0.ctx_opened)
-
-    eff = EffCheck(ck)
-
-    @do
-    def comp():
-        _s0, phase2 = yield eff.phase1(())
-        yield guard(call_io(IoOp.OPENFILE, ("/temp/a.txt", (), 0)))
-        _s1, verdict = yield phase2(())
-        return verdict
-
-    assert run(comp()).result is True
-    assert captured["pair"] == ((), (3,))
-
-
 # -- enforcement on exported arrows -----------------------------------------------
 
 export_ok = DLeft(DUnit())
@@ -345,12 +304,8 @@ def test_enforce_post_trace_equals_inner_trace():
 # -- boundary wrappers on the shipped handler type ------------------------------
 
 
-def eff_tree():
-    return make_checks_eff(webserver.handler_cks())
-
-
 def import_handler(dclosure):
-    outcome = import_value(webserver.HANDLER_TYPE, eff_tree(), dclosure)
+    outcome = import_value(webserver.HANDLER_TYPE, webserver.handler_cks(), dclosure)
     assert not is_err(outcome)
     return outcome.value
 

@@ -396,10 +396,12 @@ def _effectful(ty, env, depth):
 
 
 typed_terms = _types(1).flatmap(lambda ty: st.tuples(st.just(ty), _terms_of(ty, {}, 1)))
+# with `case`, application, injection and `io` among the forms
+typed_io_terms = _types(1).flatmap(lambda ty: st.tuples(st.just(ty), _terms_of(ty, {}, 2, effects=True)))
 
 
-@given(typed_terms)
-@settings(max_examples=120, deadline=None)
+@given(typed_io_terms)
+@settings(max_examples=400, deadline=None)
 def test_parse_pretty_round_trip(pair):
     _ty, term = pair
     assert parse(pretty(term)) == term

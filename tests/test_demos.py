@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from seclink.contracts import DBytes, DClosure, DInt, EmptyNode, Leaf
+from seclink.contracts import DBytes, DClosure, DFd, DInt, DLeft, DUnit, EmptyNode, Leaf
 from seclink.demos import (
     BUNDLES,
     attribute_mechanism,
@@ -19,12 +19,13 @@ from seclink.demos import (
     zip_bundle,
 )
 from seclink.demos.dsl_handlers import DSL_HANDLER_SOURCES
+from seclink.demos import webserver
 from seclink.demos.harness import webserver_interface
-from seclink.effects import Caller, IoOp, bind, call_io, contract_failure, ret
-from seclink.httputil import http_ok, valid_http_request, valid_http_response
+from seclink.effects import Caller, IoOp, bind, call_io, contract_failure, do, is_ok, ret
+from seclink.httputil import http_ok, request_path, valid_http_request, valid_http_response
 from seclink.interp import interpret
 from seclink.linker import LINK_FAILURE_EXIT
-from seclink.monitor import enforce_policy
+from seclink.monitor import enforce_policy, stateless_mstate
 from seclink.traces import enforced_locally
 from seclink.worlds import make_world
 
@@ -315,6 +316,36 @@ def test_http_validity_predicates():
     assert valid_http_response(b"HTTP/1.1 200 OK\r\n\r\nbody")
     assert valid_http_response(b"HTTP/1.1 404 Not Found\r\nX: y\r\n\r\n")
     assert not valid_http_response(b"hello")
+
+
+def test_request_path():
+    assert request_path(b"GET /a/b HTTP/1.1\r\n\r\n") == b"/a/b"
+    for unparseable in (b"", b"junk", b"GET a HTTP/1.1\r\n", b"GET /a\r\n", b"GET /a HTTP/1.1 x\r\n"):
+        assert request_path(unparseable) == b""
+
+
+@pytest.mark.parametrize("name,op", [("adv3", IoOp.OPENFILE), ("adv4", IoOp.WRITE), ("adv5", IoOp.SOCKET)])
+def test_adversarial_handler_answers_unit_when_its_call_succeeds(name, op):
+    # Under a library that allows everything, and no linked policy, the
+    # misbehaving call goes through and the handler reports success.
+    lib = enforce_policy(lambda *a: True, stateless_mstate())
+    world = make_world(files={"/etc/passwd": b"root"}, requests=[(1, b"GET / HTTP/1.1\r\n\r\n")])
+
+    @do
+    def serve():
+        sock = yield call_io(IoOp.SOCKET, ())
+        yield call_io(IoOp.BIND, (sock.value, "0.0.0.0", 3000))
+        yield call_io(IoOp.LISTEN, (sock.value, 5))
+        client = yield call_io(IoOp.ACCEPT, sock.value)
+        request = yield call_io(IoOp.READ, client.value)
+        send = DClosure(lambda data: ret(DLeft(DUnit())))  # none of the three calls it
+        outcome = yield webserver.HANDLERS[name](lib).fn(DFd(client.value), DBytes(request.value), send)
+        return outcome
+
+    run = interpret(serve(), world, stateless_mstate())
+    assert run.result == DLeft(DUnit())
+    last = run.local[-1]
+    assert (last.caller, last.op) == (Caller.CTX, op) and is_ok(last.result)
 
 
 def test_unknown_context_name(ws_bundle):

@@ -18,6 +18,7 @@ from seclink.monitor import (
     History,
     MStateDesc,
     Written,
+    enforce_policy,
     full_trace_mstate,
     replay,
     webserver_mstate,
@@ -95,6 +96,25 @@ def test_state_read_is_checked():
         return 0
 
     with pytest.raises(GhostInvariantError, match="at state read"):
+        interpret(tamper(), make_world(), desc)
+    assert interpret(tamper(), make_world(), desc, check=False).result == 0
+
+
+def test_policy_decision_is_checked():
+    # as above, but the first check after the corruption is the one made
+    # right before the policy decides a context call
+    desc = MStateDesc("list", [], lambda s, e: s + [e], [], lambda a, e: a + [e], operator.eq)
+    lib = enforce_policy(lambda s, op, arg: True, desc)
+
+    @do
+    def tamper():
+        yield call_io(IoOp.SOCKET, ())
+        state = yield get_mstate()
+        state.append("junk")
+        yield lib.call(IoOp.SOCKET, ())
+        return 0
+
+    with pytest.raises(GhostInvariantError, match="at policy decision"):
         interpret(tamper(), make_world(), desc)
     assert interpret(tamper(), make_world(), desc, check=False).result == 0
 

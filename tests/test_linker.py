@@ -6,7 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from seclink.contracts import ArrowSpec, ArrowT, CheckKind, DInt, EitherT, ErrT, IntT, Leaf, Node, PairT, UnitT
+from seclink.contracts import ArrowSpec, ArrowT, CheckKind, DInt, EitherT, EmptyNode, ErrT, IntT, Leaf, Node, PairT
+from seclink.contracts import UnitT
 from seclink.demos import BUNDLES, WEBSERVER_POLICIES, logging_bundle, zip_bundle
 from seclink.demos.harness import webserver_interface
 from seclink.effects import is_err
@@ -83,22 +84,29 @@ def test_ill_shaped_context_fails_at_import(ws_bundle, small_world):
 
 
 def test_source_context_with_checks_cannot_corrupt(ws_bundle, small_world):
-    # a source context may run the effectful checks it receives; they are
-    # read-only, so behaviour still satisfies the interface post-condition
+    # a source context may run the checks it receives; they are plain
+    # predicates over states, so behaviour still satisfies the interface
+    # post-condition
     iface = ws_bundle.interface
     honest = ws_bundle.contexts["benign"]
 
-    def nosy(lib, eff_cks):
-        outcome = back_translate_ctx(iface, honest)(lib, eff_cks)
-        # poke the root check's first phase and discard it
-        probe = eff_cks.ck.phase1((0, b"", None))
-        assert probe is not None
+    def nosy(lib, cks):
+        outcome = back_translate_ctx(iface, honest)(lib, cks)
+        # judge a made-up call on real states and discard the verdict
+        init = iface.mstate.init
+        assert cks.ck((0, b"", None), init, None, init) is False
         return outcome
 
     whole_run_post, whole = link_source(iface, ws_bundle.prog, nosy)
     run = interpret(whole, small_world, iface.mstate)
     assert whole_run_post((), run.result, run.local)
     assert run.audit_ok
+
+
+def test_interface_rejects_a_check_tree_that_does_not_match_its_type(ws_bundle):
+    # the handler's arrow has a spec, so its node cannot be an `EmptyNode`
+    with pytest.raises(ValueError, match="check tree does not match the context type"):
+        replace(ws_bundle.interface, cks=EmptyNode(Leaf(), Leaf()))
 
 
 def test_capability_audit_counts(ws_bundle, small_world):

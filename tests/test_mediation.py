@@ -258,6 +258,16 @@ def test_malformed_program_call_still_raises():
     assert (outcome.result, outcome.local) == (contract_failure("ctx:junk"), ())
 
 
+def test_wrong_field_count_is_junk_from_a_context_and_raises_from_the_program(ws_bundle):
+    world, desc = ws_bundle.worlds[1], ws_bundle.interface.mstate
+    outcomes = []
+    short_write = answering_handler(outcomes, lambda lib: lib.call(IoOp.WRITE, (3,)))
+    interpret(link_whole(ws_bundle, short_write), world, desc)
+    assert outcomes == [contract_failure("ctx:junk")]
+    with pytest.raises(ValueError, match="expected 2 fields"):
+        interpret(call_io(IoOp.WRITE, (3,)), make_world(), webserver_mstate())
+
+
 # -- provenance: a call is the context's wherever the context built it ---------------
 
 BUNDLE = webserver_bundle()

@@ -237,6 +237,14 @@ def test_full_trace_run_of_1e5_events():
     gc.collect()
 
 
+def test_history_compares_to_sequences_only_and_reprs_its_events():
+    run = interpret(call_io(IoOp.READ, 99), make_world(), full_trace_mstate())
+    history, (event,) = run.mstate, run.local
+    assert history == (event,) and history == [event] and history != ()
+    assert history.__eq__(42) is NotImplemented and history != 42
+    assert repr(history) == f"History({event!r},)" and repr(History()) == "History()"
+
+
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 5)), max_size=60))
 @settings(max_examples=300, deadline=None)
 def test_written_versions_behave_as_immutable_sets(steps):

@@ -114,7 +114,7 @@ def test_records_match_their_frozen_dataclass_twins(cls, data):
 def test_every_record_is_covered():
     names = {cls.__name__ for cls in RECORDS}
     assert len(names) == len(RECORDS)  # the test ids below are unique
-    assert {"Ok", "Err", "Event", "DInt", "WebServerState", "ArrowT", "Leaf", "EffCheck", "Var", "_Token"} <= names
+    assert {"Ok", "Err", "Event", "DInt", "WebServerState", "ArrowT", "Leaf", "Var", "_Token"} <= names
     assert {"TargetInterface", "SecureIoLib", "Call", "_Guard"} <= names
     assert {cls for cls in RECORDS if _own_repr(cls)} == {Ok, Err}
     assert not any(cls.__name__ in ("MStateDesc", "SourceInterface") for cls in RECORDS)

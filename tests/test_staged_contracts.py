@@ -43,7 +43,6 @@ from seclink.contracts import (
     components,
     export_value,
     import_value,
-    make_checks_eff,
     shape_matches,
 )
 from seclink.effects import Err, ErrCode, IoOp, Ok, Ret, call_io, do
@@ -103,7 +102,7 @@ def cases(draw):
     td = draw(types())
     tree = draw(trees(td))
     assert shape_matches(td, tree)
-    return td, make_checks_eff(tree) if draw(st.booleans()) else tree, draw(st.integers(0, 2**32 - 1))
+    return td, tree, draw(st.integers(0, 2**32 - 1))
 
 
 # -- values: natives for export, dynamic values (some junk) for import ------------

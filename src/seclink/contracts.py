@@ -6,9 +6,10 @@ its dynamic form; `import_value` goes the other way and can fail.  At
 function types the two are mutually recursive: an exported function imports
 its arguments and exports its result, an imported function exports its
 arguments and imports its result, so wrappers accumulate at each crossing.
-Both are staged once per (type, check tree), when an arrow is exported or
-imported, not walked per crossing: linking builds, say, the exporter of the
-web server's `send` callback, so one export of `send` allocates two closures.
+Both are staged once per (type, check tree) pair of objects, by identity, in
+`_STAGED`, not walked per crossing or per link: the first link builds, say,
+the exporter of the web server's `send` callback, and every later link
+reuses it, so one export of `send` allocates two closures.
 
 Checks are boolean predicates over two monitor-state snapshots.  They are
 arranged in a tree mirroring the type: a `Node` sits at a function type
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import field
 from enum import Enum
+from functools import wraps
 from typing import Any, Callable
 
 from .effects import Bind, Comp, Err, Ok, Ret, _trusted, contract_failure, get_mstate, guard, record
@@ -335,6 +337,25 @@ def _guard(td: ArrowT, cks: CheckTree) -> Callable[[Callable[..., Comp]], Callab
 # Export / import: projections staged per (type, check tree)
 # ---------------------------------------------------------------------------
 
+# (stage, id of each argument) -> (what `stage` built, the arguments).  Keyed
+# by identity, as arrows equal under `==` may declare different checks; an
+# entry holds its arguments, so no id in its key is reused while it stands.
+_STAGED: dict[tuple, tuple] = {}
+
+
+def staged(stage):
+    """`stage`, run once per tuple of argument objects and looked up after."""
+
+    @wraps(stage)
+    def once(*objs):
+        key = (stage, *map(id, objs))
+        entry = _STAGED.get(key)
+        if entry is None:
+            entry = _STAGED[key] = (stage(*objs), objs)
+        return entry[0]
+
+    return once
+
 
 def export_value(td: TypeDesc, cks: CheckTree, value) -> DynValue:
     """Strong to dynamic.  Total; functions become guarded closures."""
@@ -346,6 +367,7 @@ def import_value(td: TypeDesc, cks: CheckTree, dv: DynValue):
     return _importer(td, cks)(dv)
 
 
+@staged
 def _exporter(td: TypeDesc, cks: CheckTree) -> Callable[[Any], DynValue]:
     base = _BASE_SHAPES.get(type(td))
     if base is not None:
@@ -361,6 +383,7 @@ def _exporter(td: TypeDesc, cks: CheckTree) -> Callable[[Any], DynValue]:
     return lambda v: DLeft(first(v.value)) if isinstance(v, Ok) else DRight(second(v if whole else v.code))
 
 
+@staged
 def _importer(td: TypeDesc, cks: CheckTree) -> Callable[[DynValue], Any]:
     base = _BASE_IMPORTERS.get(type(td))
     if base is not None:
@@ -435,15 +458,22 @@ def _import_arrow(td: ArrowT, cks: CheckTree, dclo: DClosure) -> Callable[..., C
     """Trusted code's call enters the context at one point: `enter`, behind
     the check.  The context's computation runs under a guard; importing its
     result does not."""
-    *arg_trees, cod_tree = subtrees(td, cks)
-    exporters, import_cod = tuple(map(_exporter, td.doms, arg_trees)), _importer(td.cod, cod_tree)
-    ctx_fn = dclo.fn
+    exporters, imported, behind_check = _arrow_import(td, cks)
 
     def enter(*natives):
-        return Bind(guard(ctx_fn(*[export(x) for export, x in zip(exporters, natives)])), imported)
+        return Bind(guard(dclo.fn(*[export(x) for export, x in zip(exporters, natives)])), imported)
+
+    return behind_check(enter)
+
+
+@staged
+def _arrow_import(td: ArrowT, cks: CheckTree):
+    """The arrow's own part of an import: exporters, result import, guard."""
+    *arg_trees, cod_tree = subtrees(td, cks)
+    exporters, import_cod = tuple(map(_exporter, td.doms, arg_trees)), _importer(td.cod, cod_tree)
 
     def imported(dyn_result):  # failing to import is in-band: codomains include errors
         outcome = import_cod(dyn_result)
         return Ret(outcome if isinstance(outcome, Err) else outcome.value)
 
-    return _guard(td, cks)(enter)
+    return exporters, imported, _guard(td, cks)

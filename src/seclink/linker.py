@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .contracts import CheckTree, DynValue, TypeDesc, errors_fit, import_value
-from .contracts import shape_matches, strip_specs
+from .contracts import CheckTree, DynValue, TypeDesc, _importer, errors_fit, import_value
+from .contracts import shape_matches, staged, strip_specs
 from .effects import Comp, Ret, _trusted, is_err, record
 from .monitor import MStateDesc, Policy, SecureIoLib, enforce_policy
 from .traces import PolicySpec, PostCond
@@ -66,7 +66,9 @@ class TargetInterface:
     mstate: MStateDesc
 
 
+@staged
 def compile_interface(iface: SourceInterface) -> TargetInterface:
+    """Once per interface object: compiling reads nothing but the interface."""
     return TargetInterface(
         label=iface.label,
         ctype=strip_specs(iface.ctype),
@@ -78,8 +80,9 @@ def compile_interface(iface: SourceInterface) -> TargetInterface:
 
 def compile_prog(iface: SourceInterface, prog: SourceProg) -> TargetProg:
     """Wrap the program so it imports its context through the contracts."""
+    importer = _importer(iface.ctype, iface.cks)
     def target_prog(dyn_ctx: DynValue) -> Comp:
-        imported = import_value(iface.ctype, iface.cks, dyn_ctx)
+        imported = importer(dyn_ctx)
         if is_err(imported):
             return Ret(LINK_FAILURE_EXIT)
         return prog(imported.value)

@@ -7,7 +7,8 @@ a pure function of the starting world:
 - reads return the whole pending buffer (files: cursor to end; sockets:
   the full scripted request);
 - `Select` reports the lowest-numbered ready descriptor;
-- writes extend `bytearray` contents in place; reads return `bytes`;
+- writes extend in place only a `bytearray` the world made; a buffer it
+  shares with a clone or a caller is copied first; reads return `bytes`;
 - all failures are in-band `Err` results, never exceptions.
 
 Scenario files describe starting worlds as JSON:
@@ -18,9 +19,8 @@ Scenario files describe starting worlds as JSON:
 from __future__ import annotations
 
 import base64
-import copy
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import index
 
 from .effects import Caller, Err, ErrCode, IoOp, Ok, Result
@@ -65,18 +65,17 @@ class World:
     next_request: int = 0
     # Bytes written per descriptor; survives close so runs can be inspected.
     written: dict[int, bytes] = field(default_factory=dict)
+    # id -> buffer, for each buffer this world made and may extend in place
+    _made: dict[int, bytearray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def clone(self) -> "World":
-        """A copy that shares the immutable `bytes` and copies what steps
-        mutate: `bytearray` contents, fd entries and the request list."""
-        own = lambda t: {k: bytearray(v) if type(v) is bytearray else v for k, v in t.items()}
-        return replace(
-            self,
-            files=own(self.files),
-            requests=list(self.requests),
-            fds={fd: copy.copy(entry) for fd, entry in self.fds.items()},
-            written=own(self.written),
-        )
+        """A copy of the tables, sharing each buffer until a run first extends
+        it: neither world extends a shared buffer in place after, so neither
+        sees the other's writes.  The fd entries, which steps change, are copied."""
+        self._made = {}
+        fds = {fd: entry.__class__(**vars(entry)) for fd, entry in self.fds.items()}
+        return World(dict(self.files), list(self.requests), self.max_iterations, fds,
+                     self.next_fd, self.next_request, dict(self.written))
 
 
 def make_world(files=None, requests=None, max_iterations=DEFAULT_MAX_ITERATIONS) -> World:
@@ -150,11 +149,13 @@ def _alloc(world: World, entry) -> int:
     return fd
 
 
-def _append(table: dict, key, data: bytes) -> bytearray:
-    """Extend `table[key]`, kept as a `bytearray`, in O(len(data))."""
+def _append(world: World, table: dict, key, data: bytes) -> bytearray:
+    """Extend `table[key]` in O(len(data)): in place if `world` made the
+    buffer, else into a `bytearray` copy it makes first (copy on write)."""
     buf = table.get(key, b"")
-    if type(buf) is not bytearray:
+    if world._made.get(id(buf)) is not buf:
         buf = table[key] = bytearray(buf)
+        world._made[id(buf)] = buf
     buf += data
     return buf
 
@@ -252,8 +253,8 @@ def _write(world: World, arg) -> Result:
     if entry is None or isinstance(entry, SocketFd):
         return _EBADF
     if isinstance(entry, FileFd):
-        entry.cursor = len(_append(world.files, entry.path, data))
-    _append(world.written, fd, data)
+        entry.cursor = len(_append(world, world.files, entry.path, data))
+    _append(world, world.written, fd, data)
     return _OK_UNIT
 
 

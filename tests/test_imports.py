@@ -18,6 +18,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Weakrefs to each module of one import and to a class and a function it
 # defines; after three fresh imports of the package every one must be dead.
+# Each import also links and runs one scenario of every bundle, so what the
+# boundary stages must not keep its import alive either.
 _REIMPORT_SCRIPT = """
 import gc, importlib, inspect, pkgutil, sys, weakref
 
@@ -25,7 +27,13 @@ def fresh_import():
     for name in [m for m in sys.modules if m == "seclink" or m.startswith("seclink.")]:
         del sys.modules[name]
     seclink = importlib.import_module("seclink")
-    return [importlib.import_module(m.name) for m in pkgutil.walk_packages(seclink.__path__, "seclink.")]
+    mods = [importlib.import_module(m.name) for m in pkgutil.walk_packages(seclink.__path__, "seclink.")]
+    harness = importlib.import_module("seclink.demos.harness")
+    for make in harness.BUNDLES.values():
+        bundle = make()
+        report = harness.run_scenario(bundle, bundle.context_names()[0], bundle.worlds[-1])
+        assert report.ok and report.run.local, report.render_text()
+    return mods
 
 refs = {}
 for mod in fresh_import():

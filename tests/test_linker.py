@@ -6,8 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from seclink.contracts import ArrowSpec, ArrowT, CheckKind, DInt, EitherT, EmptyNode, ErrT, IntT, Leaf, Node, PairT
-from seclink.contracts import UnitT
+from seclink.contracts import ArrowSpec, ArrowT, CheckKind, DClosure, DInt, DPair, EitherT, EmptyNode, ErrT
+from seclink.contracts import IntT, Leaf, Node, PairT, UnitT
 from seclink.demos import BUNDLES, WEBSERVER_POLICIES, logging_bundle, zip_bundle
 from seclink.demos.harness import webserver_interface
 from seclink.effects import is_err
@@ -107,6 +107,24 @@ def test_interface_rejects_a_check_tree_that_does_not_match_its_type(ws_bundle):
     # the handler's arrow has a spec, so its node cannot be an `EmptyNode`
     with pytest.raises(ValueError, match="check tree does not match the context type"):
         replace(ws_bundle.interface, cks=EmptyNode(Leaf(), Leaf()))
+
+
+@pytest.mark.parametrize(
+    "ctype,dyn_ctx",
+    [
+        # the program imports a pair, one side of which has no importer
+        (PairT("not a type", IntT()), DPair(DInt(1), DInt(2))),
+        # the program imports an arrow, whose argument has no exporter
+        (ArrowT(("not a type",), EitherT(UnitT(), ErrT())), DClosure(lambda x: None)),
+    ],
+    ids=["importer", "exporter"],
+)
+def test_linking_a_type_that_holds_no_type_descriptor_raises(ws_bundle, ctype, dyn_ctx):
+    # a `Leaf` tree fits any type, and no sum in these needs an error side,
+    # so the interface builds; staging its boundary is the trusted side's bug
+    iface = replace(ws_bundle.interface, ctype=ctype, cks=Leaf())
+    with pytest.raises(TypeError, match="unknown type descriptor 'not a type'"):
+        link_target(compile_interface(iface), compile_prog(iface, ws_bundle.prog), lambda lib: dyn_ctx)
 
 
 def test_capability_audit_counts(ws_bundle, small_world):

@@ -6,17 +6,22 @@
 (type, check tree, value) triples the two give the same `Ok` / `Err`
 outcomes, with the same `why` labels, and the closures they make, run with
 `test_checked_path.drive`, make the same state reads, predicate calls and
-IO calls and return the same values.
+IO calls and return the same values.  Staging is shared by the identity of
+the (type, check tree) pair, never across arrows that declare different
+checks, and linking again stages nothing new.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_export_value, reference_import_value
+from seclink import contracts
 from seclink.contracts import (
     ArrowSpec,
     ArrowT,
@@ -40,13 +45,17 @@ from seclink.contracts import (
     Node,
     PairT,
     UnitT,
+    _importer,
     components,
     export_value,
     import_value,
     shape_matches,
 )
-from seclink.effects import Err, ErrCode, IoOp, Ok, Ret, call_io, do
-from test_checked_path import drive
+from seclink.demos import BUNDLES
+from seclink.demos.harness import link_whole
+from seclink.effects import Err, ErrCode, IoOp, Ok, Ret, call_io, contract_failure, do, ret
+from seclink.interp import interpret
+from test_checked_path import drive, recording_check, recording_target
 
 BASES = (IntT(), BytesT(), UnitT(), FdT(), ErrT())
 LOG: list = []  # (node id, x, state before, y, state after) of each predicate call, in order
@@ -272,3 +281,61 @@ def test_staged_import_agrees_with_the_reference(case):
         assert got == expected  # the same failure, `why` label included
     else:
         same_native(td, expected.value, got.value, seed)
+
+
+# -- staging is shared by identity ----------------------------------------------------
+
+
+def test_one_pair_of_objects_is_staged_once():
+    td = ArrowT((BytesT(), PairT(IntT(), FdT())), EitherT(UnitT(), ErrT()))
+    tree = EmptyNode(Leaf(), Leaf())
+    assert _importer(td, tree) is _importer(td, tree)
+    assert contracts._exporter(td, tree) is contracts._exporter(td, tree)
+    # an equal type is another object: staged again, not looked up
+    assert _importer(replace(td), tree) is not _importer(td, tree)
+
+
+@pytest.mark.parametrize("first", [CheckKind.PRE, CheckKind.POST])
+def test_equal_arrows_that_declare_other_checks_stage_apart(first):
+    ck, seen = recording_check(False)
+    tree = Node(ck, Leaf(), Leaf())  # one tree, shared by both arrows
+    arrow = {
+        kind: ArrowT((BytesT(),), EitherT(UnitT(), ErrT()), ArrowSpec("f", kind)) for kind in CheckKind
+    }
+    assert arrow[CheckKind.PRE] == arrow[CheckKind.POST]
+    order = [first] + [k for k in CheckKind if k is not first]
+    for kind in order:  # staged in both orders: the first must not answer for the second
+        entered = []
+
+        def ctx_fn(darg):
+            entered.append(darg)
+            return ret(DLeft(DUnit()))
+
+        value, _reads, calls = drive(import_value(arrow[kind], tree, DClosure(ctx_fn)).value(b"x"))
+        assert value == contract_failure(f"{kind.value}:f") and calls == []
+        # a PRE check refuses without calling the context; a POST check judges its result
+        assert entered == ([] if kind is CheckKind.PRE else [DBytes(b"x")])
+        assert seen[-1][2] == (() if kind is CheckKind.PRE else Ok(()))
+        started = []
+        exported = export_value(arrow[kind], tree, recording_target(started))
+        value, _reads, calls = drive(exported.fn(DBytes(b"x")))
+        assert value == DRight(DErr(ErrCode.CONTRACT_FAILURE, f"{kind.value}:f"))
+        assert (started, len(calls)) == (([], 0) if kind is CheckKind.PRE else ([(b"x",)], 1))
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_linking_again_stages_nothing_new(name):
+    bundle = BUNDLES[name]()
+    contexts = [bundle.context(c) for c in bundle.context_names()]
+
+    def link(ctx, run):
+        whole = link_whole(bundle, ctx)
+        if run:  # a run exports and imports at the deeper arrows too
+            interpret(whole, bundle.worlds[-1], bundle.interface.mstate)
+
+    for ctx in contexts:
+        link(ctx, True)
+    staged = len(contracts._STAGED)
+    for i in range(1000):
+        link(contexts[i % len(contexts)], i % 50 == 0)
+    assert len(contracts._STAGED) <= staged

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seclink import worlds
 from seclink.demos import zip_bundle
 from seclink.demos.harness import link_whole
 from seclink.demos.ziplib import ARCHIVE_PATH, make_zip_prog
@@ -233,6 +234,56 @@ def test_runs_on_one_world_share_no_buffer():
     again = _zip(first.world)
     assert first.world.files[ARCHIVE_PATH] == before
     assert again.world.files[ARCHIVE_PATH] == before + before[len(b"old\n") :]
+
+
+def test_a_run_never_extends_a_buffer_its_caller_owns():
+    mine = bytearray(b"x")
+    world = make_world(files={"/temp/log": mine})
+    run = interpret(_append_to_log(3), world, stateless_mstate())
+    assert run.world.files["/temp/log"] == b"x" + b"more" * 3
+    assert mine == b"x" and world.files["/temp/log"] is mine
+
+
+def test_a_clone_and_its_source_never_see_each_others_writes():
+    source = make_world(files={"/temp/log": b"x"})
+    fd = step(source, PROG, IoOp.OPENFILE, ("/temp/log", (), 0)).value
+    step(source, PROG, IoOp.WRITE, (fd, b"1"))  # the source made this buffer
+    clone = source.clone()
+    step(source, PROG, IoOp.WRITE, (fd, b"2"))
+    step(clone, PROG, IoOp.WRITE, (fd, b"3"))
+    assert (source.files["/temp/log"], clone.files["/temp/log"]) == (b"x12", b"x13")
+    assert (source.written[fd], clone.written[fd]) == (b"12", b"13")
+
+
+@do
+def _append_to_log(times):
+    fd = yield call_io(IoOp.OPENFILE, ("/temp/log", (), 0))
+    for _ in range(times):
+        yield call_io(IoOp.WRITE, (fd.value, b"more"))
+    return fd.value
+
+
+def test_a_file_written_many_times_keeps_one_buffer(monkeypatch):
+    # copied on its first write only, so each later append is O(len(data))
+    # and the archive grows linearly in its entries
+    inputs = {f"/temp/in{i}.txt": b"%d" % i for i in range(300)}
+    buffers, real_step = [], worlds.step
+
+    def step(world, caller, op, arg):
+        result = real_step(world, caller, op, arg)
+        if op is IoOp.WRITE:
+            buffers.append(world.files[ARCHIVE_PATH])
+        return result
+
+    monkeypatch.setattr(worlds, "step", step)
+    bundle = zip_bundle()
+    whole = link_whole(bundle, bundle.context("benign"), prog=make_zip_prog(tuple(inputs)))
+    run = interpret(whole, make_world(files={**inputs, ARCHIVE_PATH: b"old\n"}), bundle.interface.mstate)
+    assert run.result == len(inputs) and len(buffers) == len(inputs) + 1
+    assert all(buf is run.world.files[ARCHIVE_PATH] for buf in buffers)
+    assert run.world.files[ARCHIVE_PATH] == b"old\nZIP1\n" + b"".join(
+        b"entry:" + data + b"\n" for data in inputs.values()
+    )
 
 
 @do

@@ -6,10 +6,11 @@ its dynamic form; `import_value` goes the other way and can fail.  At
 function types the two are mutually recursive: an exported function imports
 its arguments and exports its result, an imported function exports its
 arguments and imports its result, so wrappers accumulate at each crossing.
-Both are staged once per (type, check tree) pair of objects, by identity, in
-`_STAGED`, not walked per crossing or per link: the first link builds, say,
-the exporter of the web server's `send` callback, and every later link
-reuses it, so one export of `send` allocates two closures.
+Both are staged: `_exporter` / `_importer` walk a (type, check tree) pair
+once and return a projection that crossings apply, so nothing is walked per
+crossing.  The linker stages an interface's boundary once, when the
+interface is built, and keeps it there; one export of the web server's
+`send` callback then allocates two closures.
 
 Checks are boolean predicates over two monitor-state snapshots.  They are
 arranged in a tree mirroring the type: a `Node` sits at a function type
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import field
 from enum import Enum
-from functools import wraps
 from typing import Any, Callable
 
 from .effects import Bind, Comp, Err, Ok, Ret, _trusted, contract_failure, get_mstate, guard, record
@@ -337,25 +337,6 @@ def _guard(td: ArrowT, cks: CheckTree) -> Callable[[Callable[..., Comp]], Callab
 # Export / import: projections staged per (type, check tree)
 # ---------------------------------------------------------------------------
 
-# (stage, id of each argument) -> (what `stage` built, the arguments).  Keyed
-# by identity, as arrows equal under `==` may declare different checks; an
-# entry holds its arguments, so no id in its key is reused while it stands.
-_STAGED: dict[tuple, tuple] = {}
-
-
-def staged(stage):
-    """`stage`, run once per tuple of argument objects and looked up after."""
-
-    @wraps(stage)
-    def once(*objs):
-        key = (stage, *map(id, objs))
-        entry = _STAGED.get(key)
-        if entry is None:
-            entry = _STAGED[key] = (stage(*objs), objs)
-        return entry[0]
-
-    return once
-
 
 def export_value(td: TypeDesc, cks: CheckTree, value) -> DynValue:
     """Strong to dynamic.  Total; functions become guarded closures."""
@@ -363,11 +344,11 @@ def export_value(td: TypeDesc, cks: CheckTree, value) -> DynValue:
 
 
 def import_value(td: TypeDesc, cks: CheckTree, dv: DynValue):
-    """Dynamic to strong: `Ok(value)` or a contract failure on mismatch."""
+    """Dynamic to strong: `Ok(value)` or a contract failure on mismatch.
+    Stages on each call; linking applies the importer its interface staged."""
     return _importer(td, cks)(dv)
 
 
-@staged
 def _exporter(td: TypeDesc, cks: CheckTree) -> Callable[[Any], DynValue]:
     base = _BASE_SHAPES.get(type(td))
     if base is not None:
@@ -383,14 +364,20 @@ def _exporter(td: TypeDesc, cks: CheckTree) -> Callable[[Any], DynValue]:
     return lambda v: DLeft(first(v.value)) if isinstance(v, Ok) else DRight(second(v if whole else v.code))
 
 
-@staged
 def _importer(td: TypeDesc, cks: CheckTree) -> Callable[[DynValue], Any]:
     base = _BASE_IMPORTERS.get(type(td))
     if base is not None:
         return base
     if isinstance(td, ArrowT):
+        exporters, imported, behind_check = _arrow_import(td, cks)
         why = f"import:arrow:{_label(td)}"
-        return lambda f: Ok(_import_arrow(td, cks, f)) if isinstance(f, DClosure) else contract_failure(why)
+
+        def arrow(f):  # looks `_import_arrow` up at each import, so replacing it takes effect
+            if not isinstance(f, DClosure):
+                return contract_failure(why)
+            return Ok(behind_check(_import_arrow(exporters, imported, f)))
+
+        return arrow
     if not isinstance(td, (PairT, EitherT)):
         raise TypeError(f"unknown type descriptor {td!r}")
     first, second = map(_importer, components(td), subtrees(td, cks))
@@ -454,19 +441,17 @@ def _export_arrow(td: ArrowT, cks: CheckTree) -> Callable[[Callable[..., Comp]],
     return export
 
 
-def _import_arrow(td: ArrowT, cks: CheckTree, dclo: DClosure) -> Callable[..., Comp]:
-    """Trusted code's call enters the context at one point: `enter`, behind
-    the check.  The context's computation runs under a guard; importing its
-    result does not."""
-    exporters, imported, behind_check = _arrow_import(td, cks)
+def _import_arrow(exporters: tuple, imported: Callable, dclo: DClosure) -> Callable[..., Comp]:
+    """Trusted code's call enters the context at one point: `enter`, which
+    the importer puts behind the check.  The context's computation runs
+    under a guard; importing its result does not."""
 
     def enter(*natives):
         return Bind(guard(dclo.fn(*[export(x) for export, x in zip(exporters, natives)])), imported)
 
-    return behind_check(enter)
+    return enter
 
 
-@staged
 def _arrow_import(td: ArrowT, cks: CheckTree):
     """The arrow's own part of an import: exporters, result import, guard."""
     *arg_trees, cod_tree = subtrees(td, cks)

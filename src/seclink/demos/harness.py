@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .. import ctxdsl
-from ..contracts import import_value
 from ..effects import Caller, IoOp, _trusted, call_io, do, is_err
 from ..interp import RunResult, interpret
 from ..linker import (
@@ -292,7 +291,7 @@ def attribute_mechanism(iface: SourceInterface, ctx) -> str | None:
     """Run one handler invocation directly and report which mechanism, if
     any, produced the contract failure."""
     lib = enforce_policy(iface.policy, iface.mstate)
-    strong = import_value(iface.ctype, iface.cks, ctx(lib))
+    strong = iface.importer(ctx(lib))
     if is_err(strong):
         return strong.why
 

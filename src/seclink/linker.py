@@ -6,7 +6,9 @@ and the state-level policy that enforces it, the check tree, the whole-run
 post-condition, and the monitor state.  Compiling erases the contract
 declarations from the published type; linking supplies the secure IO
 library and the check tree, and puts the library's policy in force around
-the program, so it decides each call the context makes.
+the program, so it decides each call the context makes.  Both compiling and
+the program's import of its context depend on the interface alone, so an
+interface stages them once, when it is built, and every link reuses them.
 
 A context with initial control is a context at a higher-order type: it
 takes the trusted program's library as its argument (say `logger -> int`),
@@ -25,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from .contracts import CheckTree, DynValue, TypeDesc, _importer, errors_fit, import_value
-from .contracts import shape_matches, staged, strip_specs
+from .contracts import shape_matches, strip_specs
 from .effects import Comp, Ret, _trusted, is_err, record
 from .monitor import MStateDesc, Policy, SecureIoLib, enforce_policy
 from .traces import PolicySpec, PostCond
@@ -40,8 +42,16 @@ TargetCtx = "Callable[[SecureIoLib], DynValue]"
 SourceCtx = "Callable[[SecureIoLib, CheckTree], Any]"  # (library, check tree) -> Ok(strong value) | Err
 
 
+class _Staged:
+    """What an interface stages when it is built, outside its fields: the
+    program's importer of the context and the compiled interface.  `replace`
+    builds a new interface, which stages again."""
+
+    __slots__ = ("importer", "target")
+
+
 @record(eq=False)
-class SourceInterface:
+class SourceInterface(_Staged):
     label: str
     ctype: TypeDesc
     policy_spec: PolicySpec
@@ -55,6 +65,9 @@ class SourceInterface:
             raise ValueError(f"{self.label}: check tree does not match the context type")
         if not errors_fit(self.ctype):
             raise ValueError(f"{self.label}: a sum's error side must be a base type")
+        object.__setattr__(self, "importer", _importer(self.ctype, self.cks))
+        target = TargetInterface(self.label, strip_specs(self.ctype), self.policy_spec, self.policy, self.mstate)
+        object.__setattr__(self, "target", target)
 
 
 @record(eq=False)
@@ -66,23 +79,16 @@ class TargetInterface:
     mstate: MStateDesc
 
 
-@staged
 def compile_interface(iface: SourceInterface) -> TargetInterface:
-    """Once per interface object: compiling reads nothing but the interface."""
-    return TargetInterface(
-        label=iface.label,
-        ctype=strip_specs(iface.ctype),
-        policy_spec=iface.policy_spec,
-        policy=iface.policy,
-        mstate=iface.mstate,
-    )
+    """Compiling reads nothing but the interface, so the interface holds its
+    compiled form, built with it."""
+    return iface.target
 
 
 def compile_prog(iface: SourceInterface, prog: SourceProg) -> TargetProg:
     """Wrap the program so it imports its context through the contracts."""
-    importer = _importer(iface.ctype, iface.cks)
     def target_prog(dyn_ctx: DynValue) -> Comp:
-        imported = importer(dyn_ctx)
+        imported = iface.importer(dyn_ctx)
         if is_err(imported):
             return Ret(LINK_FAILURE_EXIT)
         return prog(imported.value)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -32,10 +34,12 @@ def test_web_checked_bench_run_is_correct():
     assert _bench_report("web-checked")["correct"] is True
 
 
-def test_web_checked_traced_run_counts_checks_and_context_calls():
+@pytest.mark.parametrize("workload", ["web-checked", "zip-fulltrace"])
+def test_traced_run_counts_checks_and_context_calls(workload):
     # the traced path wraps module-level hooks: each check tree's predicates
-    # and `contracts._import_arrow`, looked up as a module global
-    report = _bench_report("web-checked", trace=1)
+    # and `contracts._import_arrow`, looked up as a module global; zip imports
+    # the closure its context returns through a sum codomain, below the top
+    report = _bench_report(workload, trace=1)
     assert report["correct"] is True
     metrics = report["metrics"]
     assert metrics["contracts.checks"]["value"] > 0

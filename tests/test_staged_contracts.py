@@ -6,15 +6,15 @@
 (type, check tree, value) triples the two give the same `Ok` / `Err`
 outcomes, with the same `why` labels, and the closures they make, run with
 `test_checked_path.drive`, make the same state reads, predicate calls and
-IO calls and return the same values.  Staging is shared by the identity of
-the (type, check tree) pair, never across arrows that declare different
-checks, and linking again stages nothing new.
+IO calls and return the same values.  Arrows that declare different checks
+stage apart, an interface stages its boundary once, when it is built, and
+dropping the interface drops what it staged.
 """
 
 from __future__ import annotations
 
+import gc
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -45,16 +45,16 @@ from seclink.contracts import (
     Node,
     PairT,
     UnitT,
-    _importer,
     components,
     export_value,
     import_value,
     shape_matches,
 )
 from seclink.demos import BUNDLES
-from seclink.demos.harness import link_whole
+from seclink.demos.harness import link_whole, webserver_bundle
 from seclink.effects import Err, ErrCode, IoOp, Ok, Ret, call_io, contract_failure, do, ret
 from seclink.interp import interpret
+from seclink.linker import SourceInterface, compile_interface
 from test_checked_path import drive, recording_check, recording_target
 
 BASES = (IntT(), BytesT(), UnitT(), FdT(), ErrT())
@@ -283,16 +283,7 @@ def test_staged_import_agrees_with_the_reference(case):
         same_native(td, expected.value, got.value, seed)
 
 
-# -- staging is shared by identity ----------------------------------------------------
-
-
-def test_one_pair_of_objects_is_staged_once():
-    td = ArrowT((BytesT(), PairT(IntT(), FdT())), EitherT(UnitT(), ErrT()))
-    tree = EmptyNode(Leaf(), Leaf())
-    assert _importer(td, tree) is _importer(td, tree)
-    assert contracts._exporter(td, tree) is contracts._exporter(td, tree)
-    # an equal type is another object: staged again, not looked up
-    assert _importer(replace(td), tree) is not _importer(td, tree)
+# -- an interface stages its boundary once ------------------------------------------
 
 
 @pytest.mark.parametrize("first", [CheckKind.PRE, CheckKind.POST])
@@ -323,19 +314,39 @@ def test_equal_arrows_that_declare_other_checks_stage_apart(first):
         assert (started, len(calls)) == (([], 0) if kind is CheckKind.PRE else ([(b"x",)], 1))
 
 
+def test_an_interface_compiles_once():
+    for make in BUNDLES.values():
+        iface = make().interface
+        assert compile_interface(iface) is compile_interface(iface)
+
+
 @pytest.mark.parametrize("name", sorted(BUNDLES))
-def test_linking_again_stages_nothing_new(name):
+def test_linking_again_stages_nothing_new(name, monkeypatch):
+    # the bundle's interface staged its boundary when it was built
     bundle = BUNDLES[name]()
     contexts = [bundle.context(c) for c in bundle.context_names()]
+    calls = []
 
-    def link(ctx, run):
-        whole = link_whole(bundle, ctx)
-        if run:  # a run exports and imports at the deeper arrows too
-            interpret(whole, bundle.worlds[-1], bundle.interface.mstate)
+    def counted(stage):
+        return lambda *args: calls.append(args) or stage(*args)
 
-    for ctx in contexts:
-        link(ctx, True)
-    staged = len(contracts._STAGED)
+    for stager in ("_exporter", "_importer", "_arrow_import"):
+        monkeypatch.setattr(contracts, stager, counted(getattr(contracts, stager)))
     for i in range(1000):
-        link(contexts[i % len(contexts)], i % 50 == 0)
-    assert len(contracts._STAGED) <= staged
+        whole = link_whole(bundle, contexts[i % len(contexts)])
+        if i % 50 == 0:  # a run exports and imports at the deeper arrows too
+            interpret(whole, bundle.worlds[-1], bundle.interface.mstate)
+    assert calls == []
+
+
+def test_dropped_interfaces_leave_nothing_staged():
+    def live():
+        gc.collect()
+        return sum(isinstance(o, SourceInterface) for o in gc.get_objects())
+
+    baseline = live()
+    for _ in range(200):
+        bundle = webserver_bundle()
+        interpret(link_whole(bundle, bundle.contexts["benign"]), bundle.worlds[0], bundle.interface.mstate)
+        del bundle
+    assert live() == baseline

@@ -656,12 +656,11 @@ def _stage(expr: CtxExpr, scope=None):
         if bound[0]:  # one frame per nested binding, no deeper than the parser goes
             return body_pure, lambda env, lib: bc((bound[1](env, lib), env), lib), ()
         return _then(bound, lambda v, env, lib: bc((v, env), lib), body_pure)
-    if isinstance(expr, IoCall):
-        op, (_, _, to_arg, of_ok) = expr.op, IO_SIG[expr.op]
-        call = lambda dv, env, lib: lib.call(op, to_arg(dv))
-        done = lambda r, env, lib: DRight(DErr(r.code, r.why)) if is_err(r) else DLeft(of_ok(r.value))
-        return False, _then(_stage(expr.arg, scope), call, False)[1], (done,)
-    raise TypeError(f"unknown expression {expr!r}")
+    # an `io` call: `translate` typed the term first, so no other node reaches here
+    op, (_, _, to_arg, of_ok) = expr.op, IO_SIG[expr.op]
+    call = lambda dv, env, lib: lib.call(op, to_arg(dv))
+    done = lambda r, env, lib: DRight(DErr(r.code, r.why)) if is_err(r) else DLeft(of_ok(r.value))
+    return False, _then(_stage(expr.arg, scope), call, False)[1], (done,)
 
 
 def _plain(td: TypeDesc) -> bool:

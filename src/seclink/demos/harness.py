@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .. import ctxdsl
-from ..effects import Caller, IoOp, _trusted, call_io, do, is_err
+from ..effects import Caller, _trusted, bind, is_err, ret
 from ..interp import RunResult, interpret
 from ..linker import (
     SourceInterface,
@@ -288,22 +288,16 @@ PROBE_WORLD = make_world(
 
 
 def attribute_mechanism(iface: SourceInterface, ctx) -> str | None:
-    """Run one handler invocation directly and report which mechanism, if
-    any, produced the contract failure."""
+    """Run the shipped server on one request and report which mechanism, if
+    any, made the handler's call a contract failure."""
     lib = enforce_policy(iface.policy, iface.mstate)
     strong = iface.importer(ctx(lib))
     if is_err(strong):
         return strong.why
+    outcomes = []
 
-    @do
-    def probe():
-        sock = yield call_io(IoOp.SOCKET, ())
-        yield call_io(IoOp.BIND, (sock.value, "0.0.0.0", 3000))
-        yield call_io(IoOp.LISTEN, (sock.value, 5))
-        client = yield call_io(IoOp.ACCEPT, sock.value)
-        request = yield call_io(IoOp.READ, client.value)
-        outcome = yield strong.value(client.value, request.value, webserver._send_to(client.value))
-        return outcome
+    def recorded(*args):
+        return bind(strong.value(*args), lambda outcome: outcomes.append(outcome) or ret(outcome))
 
-    outcome = interpret(_trusted(probe(), lib.policy), PROBE_WORLD, iface.mstate).result
-    return outcome.why if is_err(outcome) else None
+    interpret(_trusted(webserver.make_server_prog(1)(recorded), lib.policy), PROBE_WORLD, iface.mstate)
+    return outcomes[0].why if is_err(outcomes[0]) else None

@@ -40,7 +40,6 @@ class RunResult:
     result: object
     world: worlds.World
     local: Trace  # chronological events of this run
-    history: Trace  # reverse-chronological, includes any seeded history
     mstate: object
     ctx_events: int
     monitored_calls: int
@@ -87,7 +86,6 @@ def interpret(
                 result=done.value,
                 world=w,
                 local=tuple(local),
-                history=tuple(reversed(local)) + tuple(reversed(seed_history)),
                 mstate=state,
                 ctx_events=ctx_events,
                 monitored_calls=monitored_calls,

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 
 from .contracts import ArrowSpec, ArrowT, CheckKind, CheckTree, EitherT, Node, PairT, TypeDesc
-from .contracts import BytesT, FdT, IntT, UnitT, components, subtrees
+from .contracts import BytesT, FdT, IntT, components, subtrees
 from .effects import Caller, Err, ErrCode, Event, IoOp, Ok, contract_failure, ret
 from .httputil import http_ok
 from .monitor import MStateDesc, replay
@@ -199,8 +199,6 @@ class SampleSpace:
             return rng.choice(_BYTES)
         if isinstance(td, IntT):
             return rng.randrange(-2, 10)
-        if isinstance(td, UnitT):
-            return ()
         if isinstance(td, ArrowT):
             return _SAMPLED_CLOSURE
         if isinstance(td, PairT):

@@ -253,6 +253,14 @@ def test_pretty_prints_nested_annotations():
     assert pretty(parse(source)) == source
 
 
+def test_a_node_outside_the_language_is_a_loud_type_error():
+    # not a source term: the trusted side's bug, not a context's type error
+    with pytest.raises(TypeError, match="unknown expression"):
+        typecheck(object(), IntT())
+    with pytest.raises(TypeError, match="unknown expression"):
+        pretty(object())
+
+
 # -- generated terms: round trips, rejection, translation totality --------------
 
 _NAMES = ("a", "b", "c", "f", "g", "h", "k", "m", "n", "p", "q", "x", "y", "z")
@@ -673,6 +681,11 @@ EFFECT_ORDER = {
         '\\u:unit. case io Openfile "/a" of inl f => io Openfile "/b" | inr e => io Openfile "/c"',
         UNIT_TO(OPEN_RESULT),
         ["/a", "/b"],
+    ),
+    "pure-fst-effectful-snd": (
+        '\\u:unit. (1, io Openfile "/b")',
+        UNIT_TO(PairT(IntT(), OPEN_RESULT)),
+        ["/b"],
     ),
     "pure-fn-effectful-arg": (
         '\\u:unit. let k = (\\x:either fd err. x) in k (io Openfile "/b")',

@@ -15,7 +15,7 @@ from seclink.contracts import ArrowT, DClosure, EitherT, ErrT, Leaf, UnitT, impo
 from seclink.effects import Caller, Err, ErrCode, IoOp, Ok, bind, call_io, do, evaluate, get_mstate, ret
 from seclink.effects import _trusted, guard
 from seclink.interp import interpret
-from seclink.monitor import stateless_mstate, webserver_mstate
+from seclink.monitor import full_trace_mstate, webserver_mstate
 from seclink.worlds import make_world
 
 
@@ -226,9 +226,9 @@ def test_local_trace_chronological_and_history_reversed(small_world):
         yield call_io(IoOp.CLOSE, fd.value)
         return 0
 
-    result = run(prog(), small_world)
+    result = run(prog(), small_world, full_trace_mstate())
     assert [e.op for e in result.local] == [IoOp.OPENFILE, IoOp.CLOSE]
-    assert result.history == tuple(reversed(result.local))
+    assert result.mstate == tuple(reversed(result.local))
 
 
 def test_seed_history_extends(small_world):
@@ -238,8 +238,8 @@ def test_seed_history_extends(small_world):
         return 0
 
     first = run(prog(), small_world)
-    seeded = interpret(prog(), small_world, stateless_mstate(), seed_history=first.local)
-    assert seeded.history == tuple(reversed(seeded.local)) + first.history
+    seeded = interpret(prog(), small_world, full_trace_mstate(), seed_history=first.local)
+    assert seeded.mstate == tuple(reversed(seeded.local)) + tuple(reversed(first.local))
 
 
 def test_bare_call_at_top_level_is_a_program_call(small_world):

@@ -159,7 +159,7 @@ def test_full_trace_owner_map_corruption_raises_at_the_breaking_event():
 
     desc = replace(FT, upd=keep_closed_owners, abstracts=None)
     run = _zip_run(desc, 3, check=False)
-    assert run.result == 3 and run.mstate == run.history
+    assert run.result == 3 and run.mstate == tuple(reversed(run.local))
     breaking = next(e for e in run.local if e.op is IoOp.CLOSE)
     with pytest.raises(GhostInvariantError) as err:
         _zip_run(desc, 3)

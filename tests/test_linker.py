@@ -6,11 +6,11 @@ from dataclasses import replace
 
 import pytest
 
-from seclink.contracts import ArrowSpec, ArrowT, CheckKind, DInt, EitherT, EmptyNode, ErrT
-from seclink.contracts import IntT, Leaf, Node, PairT, UnitT
-from seclink.demos import BUNDLES, WEBSERVER_POLICIES, logging_bundle, zip_bundle
+from seclink.contracts import ArrowSpec, ArrowT, CheckKind, DClosure, DInt, DLeft, DUnit, EitherT, EmptyNode
+from seclink.contracts import ErrT, IntT, Leaf, Node, PairT, UnitT
+from seclink.demos import BUNDLES, WEBSERVER_POLICIES, logging_bundle, ziplib
 from seclink.demos.harness import webserver_interface
-from seclink.effects import is_err
+from seclink.effects import Err, ErrCode, IoOp, call_io, contract_failure, do, is_err, ret
 from seclink.interp import interpret
 from seclink.linker import (
     LINK_FAILURE_EXIT,
@@ -107,6 +107,8 @@ def test_interface_rejects_a_check_tree_that_does_not_match_its_type(ws_bundle):
     # the handler's arrow has a spec, so its node cannot be an `EmptyNode`
     with pytest.raises(ValueError, match="check tree does not match the context type"):
         replace(ws_bundle.interface, cks=EmptyNode(Leaf(), Leaf()))
+    with pytest.raises(TypeError, match="not a check tree: 'junk'"):
+        replace(ws_bundle.interface, cks="junk")
 
 
 @pytest.mark.parametrize(
@@ -164,28 +166,54 @@ def test_dual_soundness_full_trace_within_policy_spec():
         assert enforced_locally(iface.policy_spec, (), run.local), name
 
 
-def test_zip_higher_order_wrapping(small_world):
-    bundle = zip_bundle()
-    iface = bundle.interface
-    target = compile_interface(iface)
-    compiled = compile_prog(iface, bundle.prog)
-    world = make_world(files={"/temp/in1.txt": b"payload"})
-    run = interpret(link_target(target, compiled, bundle.contexts["benign"]), world, iface.mstate)
+def _zip_run(iface, prog, ctx, files=None):
+    whole = link_target(compile_interface(iface), compile_prog(iface, prog), ctx)
+    return interpret(whole, make_world(files=files or {"/temp/in1.txt": b"payload"}), iface.mstate)
+
+
+def test_zip_higher_order_wrapping():
+    run = _zip_run(ziplib.interface(), ziplib.make_zip_prog(), ziplib.benign_zip)
     assert run.result == 1
     assert run.world.files["/temp/archive.zip"] == b"ZIP1\nentry:payload\n"
 
 
 def test_zip_closed_fd_probe_hits_entry_contract():
-    bundle = zip_bundle(probe_closed_fd=True)
-    iface = bundle.interface
-    target = compile_interface(iface)
-    compiled = compile_prog(iface, bundle.prog)
-    world = make_world(files={"/temp/in1.txt": b"payload"})
-    run = interpret(link_target(target, compiled, bundle.contexts["benign"]), world, iface.mstate)
+    iface, prog = ziplib.interface(), ziplib.make_zip_prog(probe_closed_fd=True)
+    run = _zip_run(iface, prog, ziplib.benign_zip)
     # the stale descriptor was refused by the entry closure's call contract,
     # so exactly one entry landed in the archive
     assert run.result == 1
     assert run.world.files["/temp/archive.zip"].count(b"entry:") == 1
+    # without that contract, an archiver that does no IO accepts it
+    no_entry_check = replace(iface, cks=Node(iface.cks.ck, Leaf(), EmptyNode(Leaf(), Leaf())))
+    no_io = lambda lib: DClosure(lambda dafd: ret(DLeft(DClosure(lambda dfd: ret(DLeft(DUnit()))))))
+    assert _zip_run(no_entry_check, prog, no_io).result == 2
+
+
+def test_benign_archiver_answers_each_io_failure_in_band():
+    @do
+    def prog(archiver):
+        sock = yield call_io(IoOp.SOCKET, ())
+        on_socket = yield archiver(sock.value)  # the header write fails
+        archive = yield call_io(IoOp.OPENFILE, (ziplib.ARCHIVE_PATH, ("O_CREAT",), 0o644))
+        started = yield archiver(archive.value)
+        socket_entry = yield started.value(sock.value)  # the entry read fails
+        opened = yield call_io(IoOp.OPENFILE, ("/temp/in1.txt", (), 0))
+        yield call_io(IoOp.CLOSE, archive.value)
+        after_close = yield started.value(opened.value)  # the monitor refuses the entry write
+        return on_socket, socket_entry, after_close
+
+    run = _zip_run(ziplib.interface(), prog, ziplib.benign_zip)
+    assert run.result == (Err(ErrCode.EBADF), Err(ErrCode.EBADF), contract_failure("policy:Write"))
+
+
+def test_only_the_monitor_stops_the_archiver_opening_its_own_file():
+    files = {"/temp/in1.txt": b"payload", "/temp/own.txt": b"mine"}
+    shipped = ziplib.interface()
+    allow_all = replace(shipped, policy=lambda s, op, arg: True)
+    ctx = ziplib.zip_opens_own_file
+    assert _zip_run(allow_all, ziplib.make_zip_prog(), ctx, files).result == 1
+    assert _zip_run(shipped, ziplib.make_zip_prog(), ctx, files).result == 0
 
 
 @pytest.mark.parametrize(

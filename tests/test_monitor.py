@@ -232,7 +232,7 @@ def test_full_trace_run_of_1e5_events():
 
     run = interpret(reads(10**5), make_world(), full_trace_mstate(), check=True)
     assert len(run.mstate) == len(run.local) == 10**5
-    assert run.mstate == run.history
+    assert run.mstate == tuple(reversed(run.local))
     del run
     gc.collect()
 

@@ -8,9 +8,10 @@ import pytest
 
 from seclink.contracts import EmptyNode, Leaf, Node
 from seclink.demos import BUNDLES, webserver, webserver_bundle
+from seclink.effects import Caller, Ret, contract_failure
 from seclink.linker import SourceInterface
 from seclink.traces import wrote_to
-from seclink.validate import collect_specced_arrows, validate_interface
+from seclink.validate import _SAMPLED_CLOSURE, collect_specced_arrows, validate_interface
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLES))
@@ -45,6 +46,23 @@ def test_weakened_result_check_is_caught():
     outcome = validate_interface(iface, samples=1500, seed=5)
     assert not outcome.ok
     assert any(c.constraint == "c1_post" and c.arrow == "handler" for c in outcome.counterexamples)
+    assert "COUNTEREXAMPLE handler/" in outcome.render_text()
+
+
+def test_sampled_closure_fails_in_band():
+    done = _SAMPLED_CLOSURE(3, b"x")
+    assert type(done) is Ret and done.value == contract_failure("sampled closure")
+
+
+def test_result_samples_outside_the_policy_are_skipped():
+    # a policy that refuses trusted writes rejects every local trace that
+    # answers the client, so those samples judge nothing
+    def no_trusted_writes(h, caller, op, arg):
+        return caller is Caller.CTX and webserver.policy_spec(h, caller, op, arg)
+
+    iface = replace(webserver.interface(), policy_spec=no_trusted_writes)
+    outcome = validate_interface(iface, samples=200, seed=5)
+    assert 0 < outcome.exercised[("handler", "c2_post")] < 200
 
 
 def _with_send(iface, *, check=None, spec=None):

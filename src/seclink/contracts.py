@@ -25,9 +25,11 @@ left child goes with a pair's first side, a sum's left side, or an arrow's
 arguments, and its right child with the other side or the codomain.  An
 arrow's argument trees nest to the right in `EmptyNode`s, one per argument
 but the last: at `ArrowT((a, b, c), d)` the left child is
-`EmptyNode(ta, EmptyNode(tb, tc))`.  A `Leaf` anywhere, in that spine too,
-closes everything below it.  Every walk over a type and its tree recurses
-over `zip(components(td), subtrees(td, tree))`.
+`EmptyNode(ta, EmptyNode(tb, tc))`.  A `Leaf`, in that spine too, is a
+`Leaf` at every component below it.  Every walk over a type and its tree
+recurses over `zip(components(td), subtrees(td, tree))`.  An interface's
+tree holds every check its type declares, so it follows from the type and
+one check per spec label: `check_tree` builds it, `shape_matches` checks it.
 
 All boundary function types return error-inclusive sums, so a failed check
 is reported in-band as a contract failure and execution can recover.
@@ -224,13 +226,13 @@ class Leaf(CheckTree):
     pass
 
 
-@record(eq=False)
+@record
 class EmptyNode(CheckTree):
     left: CheckTree
     right: CheckTree
 
 
-@record(eq=False)
+@record
 class Node(CheckTree):
     ck: Check
     left: CheckTree
@@ -272,17 +274,37 @@ def subtrees(td: TypeDesc, tree: CheckTree) -> tuple[CheckTree, ...] | None:
 
 
 def shape_matches(td: TypeDesc, tree: CheckTree) -> bool:
-    """A tree instruments a type when it lines up with it and, short of a
-    `Leaf`, holds a `Node` exactly where the type is an arrow with a spec."""
-    if isinstance(tree, Leaf):
-        return True
+    """A tree instruments a type when it lines up with it and holds a `Node`
+    exactly where the type is an arrow with a spec, so a `Leaf` fits only
+    where no spec sits at or below it.  `check_tree` builds such a tree."""
     subs = subtrees(td, tree)
     specced = isinstance(td, ArrowT) and td.spec is not None
-    return (
-        subs is not None
-        and isinstance(tree, Node) == specced
-        and all(shape_matches(c, t) for c, t in zip(components(td), subs))
-    )
+    return subs is not None and isinstance(tree, Node) == specced and all(map(shape_matches, components(td), subs))
+
+
+def check_tree(td: TypeDesc, checks: dict[str, Check]) -> CheckTree:
+    """The smallest tree `shape_matches` accepts: `checks[label]` at each arrow
+    whose spec carries that label, a `Leaf` wherever no spec sits at or below.
+    A spec with no check, or a check no spec names, is a `ValueError`."""
+    labels = set()
+
+    def join(left: CheckTree, right: CheckTree) -> CheckTree:
+        return Leaf() if isinstance(left, Leaf) and isinstance(right, Leaf) else EmptyNode(left, right)
+
+    def grow(td: TypeDesc) -> CheckTree:
+        *args, cod = [grow(c) for c in components(td)] or [Leaf()]
+        left = args.pop() if args else Leaf()
+        while args:  # an arrow's argument trees nest to the right
+            left = join(args.pop(), left)
+        if getattr(td, "spec", None) is None:
+            return join(left, cod)
+        labels.add(td.spec.label)
+        return Node(checks.get(td.spec.label), left, cod)
+
+    tree = grow(td)
+    if labels != checks.keys():
+        raise ValueError(f"checks for {sorted(checks)}, but the specs are labelled {sorted(labels)}")
+    return tree
 
 
 def errors_fit(td: TypeDesc) -> bool:

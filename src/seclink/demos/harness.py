@@ -232,8 +232,7 @@ def link_whole(bundle: Bundle, ctx, *, route: str = "target", prog=None):
     prog = prog if prog is not None else bundle.prog
     if route == "target":
         return link_target(compile_interface(iface), compile_prog(iface, prog), ctx)
-    _whole_run_post, whole = link_source(iface, prog, back_translate_ctx(iface, ctx))
-    return whole
+    return link_source(iface, prog, back_translate_ctx(iface, ctx))[1]
 
 
 def run_scenario(bundle: Bundle, context_name: str, world: World, world_index: int = 0) -> Report:
@@ -300,4 +299,4 @@ def attribute_mechanism(iface: SourceInterface, ctx) -> str | None:
         return bind(strong.value(*args), lambda outcome: outcomes.append(outcome) or ret(outcome))
 
     interpret(_trusted(webserver.make_server_prog(1)(recorded), lib.policy), PROBE_WORLD, iface.mstate)
-    return outcomes[0].why if is_err(outcomes[0]) else None
+    return outcomes[0].why if outcomes and is_err(outcomes[0]) else None

@@ -23,12 +23,10 @@ from ..contracts import (
     DInt,
     DRight,
     EitherT,
-    EmptyNode,
     ErrT,
     IntT,
-    Leaf,
-    Node,
     UnitT,
+    check_tree,
 )
 from ..effects import Caller, Event, IoOp, Ok, bind, call_io, do, is_err, is_ok, ret
 from ..linker import SourceInterface
@@ -84,14 +82,16 @@ LOGGER_TYPE = ArrowT(
     ArrowSpec("logger", CheckKind.PRE, pre=_logger_pre, post=_logger_post),
 )
 
+CTX_TYPE = ArrowT((LOGGER_TYPE,), IntT())
+
 
 def interface() -> SourceInterface:
     return SourceInterface(
         label="logging",
-        ctype=ArrowT((LOGGER_TYPE,), IntT()),
+        ctype=CTX_TYPE,
         policy_spec=policy_spec,
         policy=policy,
-        cks=EmptyNode(Node(_logger_ck, Leaf(), Leaf()), Leaf()),
+        cks=check_tree(CTX_TYPE, {"logger": _logger_ck}),
         # the whole trace, the logger's own writes included
         whole_run_post=lambda h, _r, lt: enforced_locally(policy_spec, h, lt),
         mstate=last_event_mstate(),

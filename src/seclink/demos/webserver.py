@@ -28,12 +28,10 @@ from ..contracts import (
     DRight,
     DUnit,
     EitherT,
-    EmptyNode,
     ErrT,
     FdT,
-    Leaf,
-    Node,
     UnitT,
+    check_tree,
 )
 from ..effects import Caller, IoOp, call_io, do, is_err, is_ok, ret
 from ..httputil import (
@@ -141,14 +139,6 @@ HANDLER_TYPE = ArrowT(
 )
 
 
-def handler_cks() -> Node:
-    return Node(
-        _handler_ck,
-        EmptyNode(Leaf(), EmptyNode(Leaf(), Node(_send_ck, Leaf(), Leaf()))),
-        Leaf(),
-    )
-
-
 def whole_run_post(_h, _result, lt) -> bool:
     return every_request_gets_a_response(lt)
 
@@ -159,7 +149,7 @@ def interface() -> SourceInterface:
         ctype=HANDLER_TYPE,
         policy_spec=policy_spec,
         policy=policy,
-        cks=handler_cks(),
+        cks=check_tree(HANDLER_TYPE, {"handler": _handler_ck, "send": _send_ck}),
         whole_run_post=whole_run_post,
         mstate=webserver_mstate(),
     )
@@ -181,6 +171,8 @@ def make_server_prog(budget: int = DEFAULT_REQUEST_BUDGET):
     @do
     def server(handler):
         sock = yield call_io(IoOp.SOCKET, ())
+        if is_err(sock):
+            return 0
         sock = sock.value
         yield call_io(IoOp.SETSOCKOPT, (sock, "SO_REUSEADDR", True))
         yield call_io(IoOp.BIND, (sock, "0.0.0.0", 3000))

@@ -22,12 +22,10 @@ from ..contracts import (
     DRight,
     DUnit,
     EitherT,
-    EmptyNode,
     ErrT,
     FdT,
-    Leaf,
-    Node,
     UnitT,
+    check_tree,
 )
 from ..effects import Caller, IoOp, call_io, do, is_err, is_ok, ret
 from ..linker import SourceInterface
@@ -81,14 +79,6 @@ ZIP_TYPE = ArrowT(
 )
 
 
-def zip_cks() -> Node:
-    return Node(
-        _fd_open_ck,
-        Leaf(),
-        EmptyNode(Node(_fd_open_ck, Leaf(), Leaf()), Leaf()),
-    )
-
-
 def whole_run_post(_h, result, lt) -> bool:
     """The program's bookkeeping duty: it closes every descriptor it opens."""
     opened = set()
@@ -106,7 +96,7 @@ def interface() -> SourceInterface:
         ctype=ZIP_TYPE,
         policy_spec=policy_spec,
         policy=policy,
-        cks=zip_cks(),
+        cks=check_tree(ZIP_TYPE, {"zip": _fd_open_ck, "zip_file": _fd_open_ck}),
         whole_run_post=whole_run_post,
         mstate=full_trace_mstate(),
     )
@@ -122,6 +112,8 @@ def make_zip_prog(inputs: tuple[str, ...] = ("/temp/in1.txt",), probe_closed_fd:
     @do
     def prog(archiver):
         archive = yield call_io(IoOp.OPENFILE, (ARCHIVE_PATH, ("O_CREAT",), 0o644))
+        if is_err(archive):
+            return 0
         archive = archive.value
         entries = 0
         started = yield archiver(archive)

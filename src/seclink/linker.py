@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .contracts import CheckTree, DynValue, TypeDesc, _importer, errors_fit, import_value
+from .contracts import CheckTree, DynValue, TypeDesc, _importer, errors_fit
 from .contracts import shape_matches, strip_specs
 from .effects import Comp, Ret, _trusted, is_err, record
 from .monitor import MStateDesc, Policy, SecureIoLib, enforce_policy
@@ -113,8 +113,8 @@ def link_source(iface: SourceInterface, prog: SourceProg, ctx: SourceCtx):
 
 
 def back_translate_ctx(iface: SourceInterface, ctx: TargetCtx) -> SourceCtx:
-    def source_ctx(lib: SecureIoLib, cks: CheckTree):
-        return import_value(iface.ctype, cks, ctx(lib))
+    def source_ctx(lib: SecureIoLib, cks: CheckTree):  # stages anew only for a tree not the interface's
+        return (iface.importer if cks is iface.cks else _importer(iface.ctype, cks))(ctx(lib))
 
     return source_ctx
 

@@ -310,13 +310,5 @@ def validate_interface(iface, *, samples: int = 10_000, seed: int = 20240901) ->
     rng = random.Random(seed)
     report = ValidationReport(samples=samples)
     for arrow, node in collect_specced_arrows(iface.ctype, iface.cks):
-        validate_arrow(
-            arrow,
-            node,
-            iface.policy_spec,
-            iface.mstate,
-            samples=samples,
-            rng=rng,
-            report=report,
-        )
+        validate_arrow(arrow, node, iface.policy_spec, iface.mstate, samples=samples, rng=rng, report=report)
     return report

@@ -29,13 +29,14 @@ from seclink.contracts import (
     Node,
     PairT,
     UnitT,
+    check_tree,
     export_value,
     import_value,
     shape_matches,
     strip_specs,
 )
 from seclink.ctxdsl import TypecheckError, parse, typecheck
-from seclink.demos import BUNDLES, webserver
+from seclink.demos import BUNDLES, logging_lib, webserver, ziplib
 from seclink.demos.dsl_handlers import DSL_HANDLER_SOURCES
 from seclink.effects import Err, ErrCode, IoOp, Ok, call_io, contract_failure, do, is_err, ret
 from seclink.interp import interpret
@@ -146,8 +147,10 @@ def test_typecheck_takes_an_n_ary_boundary_type():
 
 
 def test_shape_rules():
-    assert shape_matches(webserver.HANDLER_TYPE, webserver.handler_cks())
-    assert shape_matches(webserver.HANDLER_TYPE, Leaf())
+    assert shape_matches(webserver.HANDLER_TYPE, webserver.interface().cks)
+    # a Leaf over a specced arrow drops a declared check
+    assert not shape_matches(webserver.HANDLER_TYPE, Leaf())
+    assert not shape_matches(webserver.HANDLER_TYPE, Node(webserver._handler_ck, Leaf(), Leaf()))
     # a check node requires an arrow with a declared spec
     bare = ArrowT((IntT(),), EitherT(IntT(), ErrT()))
     assert not shape_matches(bare, Node(lambda *a: True, Leaf(), Leaf()))
@@ -159,7 +162,7 @@ def test_shape_rules():
 # A case is (type, tree, placed, mutants): a tree that lines up with the type
 # by construction, the (arrow, node) pairs placed in it in the order
 # `collect_specced_arrows` reports them, and every variant of the tree with
-# exactly one misplaced node.
+# exactly one misplaced node or one Leaf in place of a subtree with a check.
 
 
 def _ck(*_args):
@@ -214,11 +217,15 @@ def aligned_cases(draw, depth=0):
         n = draw(st.integers(1, 3))
         args = [draw(aligned_cases(depth + 1)) for _ in range(n)]
         cod = draw(aligned_cases(depth + 1))
-        keep = min(draw(st.integers(0, n + 2)), n)
+        # the spine may end in a Leaf only after the last argument with a check
+        last_checked = max((i + 1 for i, a in enumerate(args) if a[2]), default=0)
+        keep = max(min(draw(st.integers(0, n + 2)), n), last_checked)
         case = _arrow_case(draw(st.booleans()), args, cod, keep)
     else:
         sides = (draw(aligned_cases(depth + 1)), draw(aligned_cases(depth + 1)))
         case = _pair_case(PairT if kind == "pair" else EitherT, *sides)
+    if case[2]:  # a Leaf in place of a tree that holds a check drops it
+        return (*case[:3], case[3] + [Leaf()])
     if draw(st.integers(0, 5)) == 0:
         return case[0], Leaf(), [], []
     return case
@@ -238,6 +245,25 @@ def test_aligned_trees_match_and_collect_in_order(case):
     assert collect_specced_arrows(td, tree) == placed
     for mutant in mutants:
         assert not shape_matches(td, mutant)
+
+
+@settings(max_examples=200, deadline=None)
+@given(aligned_cases())
+def test_the_built_tree_holds_each_declared_check(case):
+    td, _tree, placed, _mutants = case
+    built = check_tree(td, {"f": _ck} if placed else {})
+    assert shape_matches(td, built)
+    assert [id(arrow) for arrow, _node in collect_specced_arrows(td, built)] == [id(arrow) for arrow, _node in placed]
+
+
+def test_shipped_trees_are_the_ones_once_written_by_hand():
+    ws, zf, lg = webserver, ziplib, logging_lib
+    send = Node(ws._send_ck, Leaf(), Leaf())
+    assert ws.interface().cks == Node(ws._handler_ck, EmptyNode(Leaf(), EmptyNode(Leaf(), send)), Leaf())
+    zip_file = Node(zf._fd_open_ck, Leaf(), Leaf())
+    assert zf.interface().cks == Node(zf._fd_open_ck, Leaf(), EmptyNode(zip_file, Leaf()))
+    assert lg.interface().cks == EmptyNode(Node(lg._logger_ck, Leaf(), Leaf()), Leaf())
+    assert ws.interface().cks != Node(ws._handler_ck, EmptyNode(Leaf(), EmptyNode(Leaf(), Leaf())), Leaf())
 
 
 # -- enforcement on exported arrows -----------------------------------------------
@@ -305,7 +331,7 @@ def test_enforce_post_trace_equals_inner_trace():
 
 
 def import_handler(dclosure):
-    outcome = import_value(webserver.HANDLER_TYPE, webserver.handler_cks(), dclosure)
+    outcome = import_value(webserver.HANDLER_TYPE, webserver.interface().cks, dclosure)
     assert not is_err(outcome)
     return outcome.value
 

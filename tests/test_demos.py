@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from seclink.contracts import DBytes, DClosure, DFd, DInt, DLeft, DUnit, EmptyNode, Leaf
+from seclink.contracts import DBytes, DClosure, DFd, DInt, DLeft, DUnit, check_tree
 from seclink.demos import (
     BUNDLES,
     attribute_mechanism,
@@ -280,11 +280,12 @@ def test_logging_source_text_context(logging_ctx_file):
 
 
 def test_logging_whole_run_post_judges_the_loggers_writes():
-    # Without the logger's check, a context can make it write twice in a
-    # row: the context's own events stay within the policy, the whole run
-    # does not.
+    # With a logger check that accepts every call, a context can make it
+    # write twice in a row: the context's own events stay within the policy,
+    # the whole run does not.
     bundle = logging_bundle()
-    bundle.interface = dataclasses.replace(bundle.interface, cks=EmptyNode(Leaf(), Leaf()))
+    accept_all = check_tree(bundle.interface.ctype, {"logger": lambda *_args: True})
+    bundle.interface = dataclasses.replace(bundle.interface, cks=accept_all)
     report = run_scenario(bundle, "double-logs", bundle.worlds[0])
     writes = [e for e in report.run.local if e.op is IoOp.WRITE]
     assert len(writes) == 2 and all(e.caller is Caller.PROG for e in writes)

@@ -7,8 +7,8 @@ from dataclasses import replace
 import pytest
 
 from seclink.contracts import ArrowSpec, ArrowT, CheckKind, DClosure, DInt, DLeft, DUnit, EitherT, EmptyNode
-from seclink.contracts import ErrT, IntT, Leaf, Node, PairT, UnitT
-from seclink.demos import BUNDLES, WEBSERVER_POLICIES, logging_bundle, ziplib
+from seclink.contracts import ErrT, IntT, Leaf, Node, PairT, UnitT, check_tree
+from seclink.demos import BUNDLES, WEBSERVER_POLICIES, logging_bundle, webserver, ziplib
 from seclink.demos.harness import webserver_interface
 from seclink.effects import Err, ErrCode, IoOp, call_io, contract_failure, do, is_err, ret
 from seclink.interp import interpret
@@ -111,6 +111,33 @@ def test_interface_rejects_a_check_tree_that_does_not_match_its_type(ws_bundle):
         replace(ws_bundle.interface, cks="junk")
 
 
+def test_back_translation_imports_through_the_tree_it_is_handed(ws_bundle, small_world):
+    # linking hands over the interface's own tree, which the interface staged;
+    # any other tree is staged for that call and enforced in its place
+    iface = ws_bundle.interface
+    source_ctx = back_translate_ctx(iface, webserver.benign_handler)
+    refusing = {"handler": webserver._handler_ck, "send": lambda *_args: False}
+    refuse_send = replace(iface, cks=check_tree(iface.ctype, refusing))
+    for linked, status in ((iface, b"HTTP/1.1 200"), (refuse_send, b"HTTP/1.1 400")):
+        _post, whole = link_source(linked, ws_bundle.prog, source_ctx)
+        run = interpret(whole, small_world, iface.mstate)
+        first_answer = next(e.arg[1] for e in run.local if e.op is IoOp.WRITE)
+        assert first_answer.startswith(status)
+
+
+def test_interface_rejects_a_check_tree_that_drops_a_declared_check():
+    # a Leaf over `send`'s arrow would leave its declared PRE unenforced
+    with pytest.raises(ValueError, match="check tree does not match the context type"):
+        replace(webserver_interface(), cks=Node(webserver._handler_ck, Leaf(), Leaf()))
+    # the shipped interfaces build their trees from a check per declared label
+    checks = {"handler": webserver._handler_ck, "send": webserver._send_ck}
+    with pytest.raises(ValueError, match=r"checks for \['handler'\], but the specs are labelled \['handler', 'send'\]"):
+        check_tree(webserver.HANDLER_TYPE, {"handler": webserver._handler_ck})
+    with pytest.raises(ValueError, match=r"checks for \['handler', 'send', 'sned'\], but the specs"):
+        check_tree(webserver.HANDLER_TYPE, {**checks, "sned": webserver._send_ck})
+    assert webserver.interface().cks == check_tree(webserver.HANDLER_TYPE, checks)
+
+
 @pytest.mark.parametrize(
     "ctype",
     [
@@ -122,7 +149,7 @@ def test_interface_rejects_a_check_tree_that_does_not_match_its_type(ws_bundle):
     ids=["importer", "exporter"],
 )
 def test_linking_a_type_that_holds_no_type_descriptor_raises(ws_bundle, ctype):
-    # a `Leaf` tree fits any type, and no sum in these needs an error side,
+    # a `Leaf` tree fits any type that declares no check, no sum in these needs an error side,
     # so the interface's checks pass; staging its boundary, as the interface
     # is built, is the trusted side's bug and raises before any link
     with pytest.raises(TypeError, match="unknown type descriptor 'not a type'"):
@@ -184,8 +211,8 @@ def test_zip_closed_fd_probe_hits_entry_contract():
     # so exactly one entry landed in the archive
     assert run.result == 1
     assert run.world.files["/temp/archive.zip"].count(b"entry:") == 1
-    # without that contract, an archiver that does no IO accepts it
-    no_entry_check = replace(iface, cks=Node(iface.cks.ck, Leaf(), EmptyNode(Leaf(), Leaf())))
+    # with an entry check that accepts every call, an archiver that does no IO accepts it
+    no_entry_check = replace(iface, cks=check_tree(iface.ctype, {"zip": iface.cks.ck, "zip_file": lambda *_args: True}))
     no_io = lambda lib: DClosure(lambda dafd: ret(DLeft(DClosure(lambda dfd: ret(DLeft(DUnit()))))))
     assert _zip_run(no_entry_check, prog, no_io).result == 2
 

@@ -15,10 +15,10 @@ interface is built, and keeps it there; one export of the web server's
 Checks are boolean predicates over two monitor-state snapshots.  They are
 arranged in a tree mirroring the type: a `Node` sits at a function type
 carrying a spec, an `EmptyNode` descends through structure, and a `Leaf`
-closes a subtree with nothing to check.  Whether a node's check guards the
-call (a pre-condition) or judges its outcome (a post-condition) is declared
-by the function type's spec.  Enforcing a check reads the state twice and
-calls the predicate once.
+closes a subtree with nothing to check.  The spec declares whether the check
+guards the call (PRE) or judges its outcome (POST).  Every call at an arrow,
+exported or imported, is one `Do` node running `_checked`: PRE reads the
+state twice, asks the check, then calls; POST reads, calls, reads, judges.
 
 How a tree lines up with a type is written once, in `subtrees`: a node's
 left child goes with a pair's first side, a sum's left side, or an arrow's
@@ -41,7 +41,7 @@ from dataclasses import field
 from enum import Enum
 from typing import Any, Callable
 
-from .effects import Bind, Comp, Err, Ok, Ret, _trusted, contract_failure, get_mstate, guard, record
+from .effects import Bind, Comp, Do, Err, Ok, Ret, _trusted, contract_failure, get_mstate, guard, record
 
 # ---------------------------------------------------------------------------
 # Runtime type descriptors
@@ -318,41 +318,31 @@ def errors_fit(td: TypeDesc) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _step_guard(f: Callable[..., Comp]) -> Callable[..., Comp]:
-    start = lambda args: f(*args)
-    return lambda *args: Bind(Ret(args), start)
+def _checked(ck: Check | None, pre: bool, failure: Err | None, f: Callable[..., Comp], args: tuple):
+    """One call at an arrow, in the order the module docstring gives; a PRE
+    check that says no fails without calling `f`, and with no check it only calls `f`."""
+    if ck is None:
+        return (yield f(*args))
+    s0 = yield _READ
+    if pre:
+        s1 = yield _READ
+        return (yield f(*args)) if ck(args, s0, (), s1) else failure
+    y = yield f(*args)
+    s1 = yield _READ
+    return y if ck(args, s0, y, s1) else failure
 
 
 def _guard(td: ArrowT, cks: CheckTree) -> Callable[[Callable[..., Comp]], Callable[..., Comp]]:
-    """How a call at this arrow starts, once the loop reaches it, not when it
-    is built: after one step, or behind two state reads and one call of its
-    check.  A PRE check reads with nothing in between and, saying no, fails
-    without calling `f`; a POST check judges `f`'s result."""
+    """Stages the arrow's check, its kind and its failure once; each call is
+    a `Do` node of `_checked`, so `f` starts only when the loop reaches it."""
     if not isinstance(cks, Node):
-        return _step_guard
-    if td.spec is None:
+        ck, pre, failure = None, False, None
+    elif td.spec is None:
         raise ValueError("check node at an arrow without a spec")
-    ck = cks.ck
-    failure = Ret(contract_failure(f"{td.spec.kind.value}:{_label(td)}"))
-
-    def pre(f):
-        def wrapped(*args):
-            before = lambda s0: Bind(_READ, lambda s1: f(*args) if ck(args, s0, (), s1) else failure)
-            return Bind(_READ, before)
-
-        return wrapped
-
-    def post(f):
-        def wrapped(*args):
-            def before(s0):
-                judge = lambda y: Bind(_READ, lambda s1: Ret(y) if ck(args, s0, y, s1) else failure)
-                return Bind(f(*args), judge)
-
-            return Bind(_READ, before)
-
-        return wrapped
-
-    return pre if td.spec.kind is CheckKind.PRE else post
+    else:
+        ck, kind = cks.ck, td.spec.kind
+        pre, failure = kind is CheckKind.PRE, contract_failure(f"{kind.value}:{_label(td)}")
+    return lambda f: lambda *args: Do(_checked, (ck, pre, failure, f, args))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from ..linker import (
     back_translate_ctx,
     compile_interface,
     compile_prog,
+    instantiate_ctx,
     link_source,
     link_target,
 )
@@ -290,7 +291,7 @@ def attribute_mechanism(iface: SourceInterface, ctx) -> str | None:
     """Run the shipped server on one request and report which mechanism, if
     any, made the handler's call a contract failure."""
     lib = enforce_policy(iface.policy, iface.mstate)
-    strong = iface.importer(ctx(lib))
+    strong = iface.importer(instantiate_ctx(ctx, lib))
     if is_err(strong):
         return strong.why
     outcomes = []

@@ -96,9 +96,17 @@ def compile_prog(iface: SourceInterface, prog: SourceProg) -> TargetProg:
     return target_prog
 
 
+def instantiate_ctx(ctx: TargetCtx, lib: SecureIoLib) -> DynValue | None:
+    """The context for `lib`, or None, which fails to import, if the context's factory raises."""
+    try:
+        return ctx(lib)
+    except Exception:
+        return None
+
+
 def link_target(iface: TargetInterface, prog: TargetProg, ctx: TargetCtx) -> Comp:
     lib = enforce_policy(iface.policy, iface.mstate)
-    return _trusted(prog(ctx(lib)), lib.policy)
+    return _trusted(prog(instantiate_ctx(ctx, lib)), lib.policy)
 
 
 def link_source(iface: SourceInterface, prog: SourceProg, ctx: SourceCtx):
@@ -114,7 +122,7 @@ def link_source(iface: SourceInterface, prog: SourceProg, ctx: SourceCtx):
 
 def back_translate_ctx(iface: SourceInterface, ctx: TargetCtx) -> SourceCtx:
     def source_ctx(lib: SecureIoLib, cks: CheckTree):  # stages anew only for a tree not the interface's
-        return (iface.importer if cks is iface.cks else _importer(iface.ctype, cks))(ctx(lib))
+        return (iface.importer if cks is iface.cks else _importer(iface.ctype, cks))(instantiate_ctx(ctx, lib))
 
     return source_ctx
 

@@ -175,6 +175,21 @@ def test_exported_arrow_fails_bad_arguments_in_band(args, why):
     assert reads == [] and seen == [] and started == [] and calls == []
 
 
+@pytest.mark.parametrize("direction", ["ctx-calls-trusted", "trusted-calls-ctx"])
+def test_unchecked_arrow_reads_nothing_and_calls_once_when_reached(direction):
+    started = []
+    if direction == "ctx-calls-trusted":
+        call = export_value(replace(SEND, spec=None), Leaf(), recording_target(started)).fn(DBytes(b"x"))
+        expected, started_with, ops = DLeft(DUnit()), (b"x",), [IoOp.WRITE]
+    else:
+        ctx_fn = lambda *dargs: started.append(dargs) or ret(DLeft(DUnit()))
+        call = import_value(replace(HANDLER, spec=None), Leaf(), DClosure(ctx_fn)).value(b"x")
+        expected, started_with, ops = Ok(()), (DBytes(b"x"),), []
+    assert started == []  # building the call starts nothing
+    value, reads, calls = drive(call)
+    assert (value, reads, started, [c.op for c in calls]) == (expected, [], [started_with], ops)
+
+
 def test_imported_arrow_fails_a_junk_result_in_band():
     imported = import_value(replace(HANDLER, spec=None), Leaf(), DClosure(lambda darg: ret(DInt(3))))
     value, reads, _calls = drive(imported.value(b"x"))

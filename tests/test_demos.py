@@ -251,6 +251,32 @@ def test_non_closure_context_fails_to_link_on_both_routes(ws_bundle):
     assert attribute_mechanism(ws_bundle.interface, not_a_handler) == "import:arrow:handler"
 
 
+def test_raising_context_factory_fails_to_link_on_both_routes(ws_bundle):
+    def raising(_lib):
+        raise ZeroDivisionError
+
+    for route in ("target", "source"):
+        whole = link_whole(ws_bundle, raising, route=route)
+        run = interpret(whole, ws_bundle.worlds[1], ws_bundle.interface.mstate)
+        assert (run.result, run.local) == (LINK_FAILURE_EXIT, ()), route
+    assert attribute_mechanism(ws_bundle.interface, raising) == "import:arrow:handler"
+    bundle = dataclasses.replace(ws_bundle, contexts={"raising": raising}, expected_mechanism={"raising": "import"})
+    report = run_scenario(bundle, "raising", bundle.worlds[1])
+    assert (report.result, report.run.local, report.mechanism) == (LINK_FAILURE_EXIT, (), "import:arrow:handler")
+
+
+def test_context_factory_raising_a_base_exception_still_raises(ws_bundle):
+    class Stop(BaseException):
+        pass
+
+    def stopping(_lib):
+        raise Stop
+
+    for route in ("target", "source"):
+        with pytest.raises(Stop):
+            link_whole(ws_bundle, stopping, route=route)
+
+
 def test_logging_alternation_trace():
     bundle = logging_bundle()
     report = run_scenario(bundle, "well-behaved", bundle.worlds[0])

@@ -8,14 +8,17 @@ library supplied at link time.  There is no recursion, so every typed term
 terminates, and a term reaches IO only through that library.
 
 Its types are the boundary's spec-free `contracts.TypeDesc`s with unary
-arrows.  `parse` builds the AST, `typecheck` verifies it against the boundary
-type it must inhabit in one bidirectional walk, and `translate` stages the
-term once, compiling it to closures, and produces a target context whose
-runtime behaviour matches a hand-written one event for event.  `IO_SIG`
-declares each op in one row, which all three read.  Staging resolves each
-variable to its index in an immutable cons-list environment and fuses the
-pure steps that follow an effect into one loop, so the cost of a read does
-not grow with the `let`s around it.
+arrows.  `parse` builds the AST.  `translate` checks it against the boundary
+type it must inhabit and stages it, compiling it to closures, in one
+bidirectional walk (`typecheck` is that walk, keeping only its verdict), and
+produces a target context whose runtime behaviour matches a hand-written one
+event for event.  `IO_SIG` declares each op in one row, which the parser and
+the walk read.  The walk resolves each variable to its index in an immutable
+cons-list environment as it passes the binders, and fuses the pure steps
+that follow an effect into one loop, so the cost of a read does not grow
+with the `let`s around it.  Where the boundary type has functions of two or
+more arguments, `translate` also stages, once per type, the adapter that
+uncurries the context's value for them, so a link walks no type.
 
 Concrete syntax::
 
@@ -67,8 +70,11 @@ from .monitor import SecureIoLib
 
 def curried_view(td: TypeDesc) -> TypeDesc:
     """The boundary type as this language sees it: multi-argument
-    functions become chains of unary ones, and specs are dropped."""
+    functions become chains of unary ones, and specs are dropped.  A
+    function of no arguments has no such view: the language has no thunks."""
     if isinstance(td, ArrowT):
+        if not td.doms:
+            raise TypecheckError(f"nullary arrow to {tystr(td.cod)}: the language has no thunks")
         out = curried_view(td.cod)
         for dom in reversed(td.doms):
             out = ArrowT((curried_view(dom),), out)
@@ -425,106 +431,7 @@ def parse(text: str) -> CtxExpr:
 
 
 # ---------------------------------------------------------------------------
-# Type checking
-# ---------------------------------------------------------------------------
-
-
-def typecheck(expr: CtxExpr, expected: TypeDesc) -> None:
-    """Check a closed term against the type it must inhabit, as this
-    language sees it (`curried_view`)."""
-    _infer(expr, PRIM_TYPES, "term", curried_view(expected))
-
-
-def _fail(path, message: str):
-    segments = []
-    while type(path) is tuple:
-        segment, path = path
-        segments.append(segment)
-    raise TypecheckError(f"{path}{''.join(reversed(segments))}: {message}")
-
-
-_LIT_TYPES = {IntLit: IntT(), BytesLit: BytesT(), UnitLit: UnitT()}
-
-
-def _infer(expr: CtxExpr, env, path, expected: TypeDesc | None = None) -> TypeDesc:
-    """The type of `expr`, checked against `expected` if given (checking and
-    synthesis are two modes of one judgement).  A function, an injection, or a
-    pair against a pair type is checked part by part; `let` and `case` pass the
-    expectation to their bodies; any other form is compared with it at the end.
-
-    A binder or a step down costs one immutable cell, so a check is linear in
-    nested binders: `env` is cells `(name, type, rest)` ending in a dict of
-    the outermost names, and `path` cells `(".segment", parent)` ending in
-    the root's name, joined only into an error's text."""
-    if isinstance(expr, Lam):
-        if expected is not None:
-            if not isinstance(expected, ArrowT):
-                _fail(path, f"function found where {tystr(expected)} expected")
-            if expr.ty != expected.doms[0]:
-                _fail(path, f"argument annotated {tystr(expr.ty)}, needs {tystr(expected.doms[0])}")
-        cod = None if expected is None else expected.cod
-        return ArrowT((expr.ty,), _infer(expr.body, (expr.var, expr.ty, env), (".body", path), cod))
-    if isinstance(expr, Inject):
-        if expected is None:
-            _fail(path, "cannot infer the type of a bare sum injection; add context")
-        if not isinstance(expected, EitherT):
-            _fail(path, f"sum injection found where {tystr(expected)} expected")
-        side = expected.left if expr.side == "inl" else expected.right
-        _infer(expr.expr, env, ("." + expr.side, path), side)
-        return expected
-    if isinstance(expr, PairE) and isinstance(expected, PairT):
-        fst = _infer(expr.fst, env, (".fst", path), expected.fst)
-        return PairT(fst, _infer(expr.snd, env, (".snd", path), expected.snd))
-    if isinstance(expr, Let):
-        bound = _infer(expr.bound, env, (".bound", path))
-        return _infer(expr.body, (expr.var, bound, env), (".body", path), expected)
-    if isinstance(expr, Case):
-        scrutinee = _infer(expr.scrutinee, env, (".scrutinee", path))
-        if not isinstance(scrutinee, EitherT):
-            _fail(path, f"case scrutinee has type {tystr(scrutinee)}, not a sum")
-        left = _infer(expr.left_body, (expr.left_var, scrutinee.left, env), (".inl", path), expected)
-        right = _infer(expr.right_body, (expr.right_var, scrutinee.right, env), (".inr", path), expected)
-        if left != right:
-            _fail(path, f"branches disagree: {tystr(left)} vs {tystr(right)}")
-        return left
-    if type(expr) in _LIT_TYPES:
-        actual = _LIT_TYPES[type(expr)]
-    elif isinstance(expr, Var):
-        cell = env
-        while type(cell) is tuple and cell[0] != expr.name:
-            cell = cell[2]
-        if type(cell) is tuple:
-            actual = cell[1]
-        elif expr.name in cell:
-            actual = cell[expr.name]
-        else:
-            _fail(path, f"unbound variable {expr.name!r}")
-    elif isinstance(expr, App):
-        fn = _infer(expr.fn, env, (".fn", path))
-        if not isinstance(fn, ArrowT):
-            _fail(path, f"applied expression has type {tystr(fn)}, not a function")
-        _infer(expr.arg, env, (".arg", path), fn.doms[0])
-        actual = fn.cod
-    elif isinstance(expr, PairE):
-        actual = PairT(_infer(expr.fst, env, (".fst", path)), _infer(expr.snd, env, (".snd", path)))
-    elif isinstance(expr, Proj):
-        actual = _infer(expr.expr, env, ("." + expr.side, path))
-        if not isinstance(actual, PairT):
-            _fail(path, f"projection from type {tystr(actual)}, not a pair")
-        actual = actual.fst if expr.side == "fst" else actual.snd
-    elif isinstance(expr, IoCall):
-        arg_t, ok_t = IO_SIG[expr.op][:2]
-        _infer(expr.arg, env, (".arg", path), arg_t)
-        actual = EitherT(ok_t, ErrT())
-    else:
-        raise TypeError(f"unknown expression {expr!r}")
-    if expected is not None and actual != expected:
-        _fail(path, f"has type {tystr(actual)}, needs {tystr(expected)}")
-    return actual
-
-
-# ---------------------------------------------------------------------------
-# Translation
+# Typing and staging
 # ---------------------------------------------------------------------------
 
 
@@ -546,6 +453,23 @@ def _prim_closures() -> dict[str, DynValue]:
 
 
 _PRIMS = _prim_closures()  # stateless closures, shared by every staged term
+
+
+def typecheck(expr: CtxExpr, expected: TypeDesc) -> None:
+    """Check a closed term against the type it must inhabit, as this
+    language sees it (`curried_view`)."""
+    _elab(expr, PRIM_TYPES, "term", curried_view(expected))
+
+
+def _fail(path, message: str):
+    segments = []
+    while type(path) is tuple:
+        segment, path = path
+        segments.append(segment)
+    raise TypecheckError(f"{path}{''.join(reversed(segments))}: {message}")
+
+
+_LITERALS = {IntLit: (IntT(), DInt), BytesLit: (BytesT(), DBytes), UnitLit: (UnitT(), None)}
 
 
 def _run(post, v, env, lib):
@@ -577,15 +501,8 @@ def _comp(staged):
     return code
 
 
-def _lookup(scope, name: str):
-    """Code reading `name`: a primitive is a constant, a variable is read at
-    its index in the environment, resolved here."""
-    i = 0
-    while scope is not None and scope[0] != name:
-        scope, i = scope[1], i + 1
-    if scope is None:
-        prim = _PRIMS[name]
-        return lambda env, lib: prim
+def _read(i: int):
+    """Code reading the value `i` cells into the environment."""
     if i == 0:
         return lambda env, lib: env[0]
 
@@ -597,51 +514,61 @@ def _lookup(scope, name: str):
     return walk
 
 
-def _stage(expr: CtxExpr, scope=None):
-    """Compile a term once to `(pure, code, post)`.  Environments, like
-    `scope` (the binder names in scope), are immutable cons cells
-    `(innermost, rest)`, so a binder costs one cell.  A pure term (no `io`,
-    no application) has `code(env, lib)` return its value and no `post`; any
-    other has it return a computation, with its effects in source order,
-    whose value the pure steps `post` finish, each `step(v, env, lib)`."""
-    if isinstance(expr, Var):
-        return True, _lookup(scope, expr.name), ()
-    if isinstance(expr, (IntLit, BytesLit, UnitLit)):
-        kind = {IntLit: DInt, BytesLit: DBytes}.get(type(expr))
-        value = kind(expr.value) if kind else DUnit()
-        return True, lambda env, lib: value, ()
+def _elab(expr: CtxExpr, scope, path, expected: TypeDesc | None = None):
+    """Type `expr`, checked against `expected` if given, and stage it, in one
+    walk: `(type, (pure, code, post))`.
+
+    Checking and synthesis are two modes of one judgement.  A function, an
+    injection, or a pair against a pair type is checked part by part; `let`
+    and `case` pass the expectation to their bodies; any other form is
+    compared with it at the end.  A binder or a step down costs one immutable
+    cell, so the walk is linear in nested binders: `scope` is cells
+    `(name, type, rest)` ending in a dict of the outermost names (the
+    helpers), and `path` cells `(".segment", parent)` ending in the root's
+    name, joined only into an error's text.
+
+    Staged code runs on environments of cells `(value, rest)`, one for each
+    cell of `scope`, so a variable is read at the index its walk counted and
+    a helper is a constant.  A pure term (no `io`, no application) has
+    `code(env, lib)` return its value and no `post`; any other has it return
+    a computation, with its effects in source order, whose value the pure
+    steps `post` finish, each `step(v, env, lib)`."""
     if isinstance(expr, Lam):
-        body = _comp(_stage(expr.body, (expr.var, scope)))
-        return True, lambda env, lib: DClosure(lambda dv: body((dv, env), lib)), ()
-    if isinstance(expr, App):
-        fn, arg = _stage(expr.fn, scope), _stage(expr.arg, scope)
-        if fn[0]:  # a pure function position reads the same after the argument's effects
-            return _then(arg, lambda a, env, lib: fn[1](env, lib).fn(a), False)
-        if arg[0]:
-            return _then(fn, lambda f, env, lib: f.fn(arg[1](env, lib)), False)
-        ac = _comp(arg)
-        return _then(fn, lambda f, env, lib: Bind(ac(env, lib), f.fn), False)
-    if isinstance(expr, PairE):
-        fst, snd = _stage(expr.fst, scope), _stage(expr.snd, scope)
-        if snd[0]:
-            return _then(fst, lambda a, env, lib: DPair(a, snd[1](env, lib)), True)
-        if fst[0]:
-            return _then(snd, lambda b, env, lib: DPair(fst[1](env, lib), b), True)
-        sc = _comp(snd)
-        pair_with = lambda a, env, lib: Bind(sc(env, lib), lambda b: Ret(DPair(a, b)))
-        return _then(fst, pair_with, False)
-    if isinstance(expr, Proj):
-        first = expr.side == "fst"
-        return _then(_stage(expr.expr, scope), lambda p, env, lib: p.fst if first else p.snd, True)
+        if expected is not None:
+            if not isinstance(expected, ArrowT):
+                _fail(path, f"function found where {tystr(expected)} expected")
+            if expr.ty != expected.doms[0]:
+                _fail(path, f"argument annotated {tystr(expr.ty)}, needs {tystr(expected.doms[0])}")
+        cod = None if expected is None else expected.cod
+        cod, staged = _elab(expr.body, (expr.var, expr.ty, scope), (".body", path), cod)
+        body = _comp(staged)
+        return ArrowT((expr.ty,), cod), (True, lambda env, lib: DClosure(lambda dv: body((dv, env), lib)), ())
     if isinstance(expr, Inject):
-        wrap = DLeft if expr.side == "inl" else DRight
-        return _then(_stage(expr.expr, scope), lambda v, env, lib: wrap(v), True)
+        if expected is None:
+            _fail(path, "cannot infer the type of a bare sum injection; add context")
+        if not isinstance(expected, EitherT):
+            _fail(path, f"sum injection found where {tystr(expected)} expected")
+        side, wrap = (expected.left, DLeft) if expr.side == "inl" else (expected.right, DRight)
+        staged = _elab(expr.expr, scope, ("." + expr.side, path), side)[1]
+        return expected, _then(staged, lambda v, env, lib: wrap(v), True)
+    if isinstance(expr, Let):
+        bound_t, bound = _elab(expr.bound, scope, (".bound", path))
+        body_t, body = _elab(expr.body, (expr.var, bound_t, scope), (".body", path), expected)
+        body_pure, bc = body[0], body[1] if body[0] else _comp(body)
+        if bound[0]:  # one frame per nested binding, no deeper than the parser goes
+            return body_t, (body_pure, lambda env, lib: bc((bound[1](env, lib), env), lib), ())
+        return body_t, _then(bound, lambda v, env, lib: bc((v, env), lib), body_pure)
     if isinstance(expr, Case):
-        left = _stage(expr.left_body, (expr.left_var, scope))
-        right = _stage(expr.right_body, (expr.right_var, scope))
+        split, scrutinee = _elab(expr.scrutinee, scope, (".scrutinee", path))
+        if not isinstance(split, EitherT):
+            _fail(path, f"case scrutinee has type {tystr(split)}, not a sum")
+        left_t, left = _elab(expr.left_body, (expr.left_var, split.left, scope), (".inl", path), expected)
+        right_scope = (expr.right_var, split.right, scope)
+        right_t, right = _elab(expr.right_body, right_scope, (".inr", path), expected)
+        if left_t != right_t:
+            _fail(path, f"branches disagree: {tystr(left_t)} vs {tystr(right_t)}")
         pure = left[0] and right[0]
         lc, rc = (left[1], right[1]) if pure else (_comp(left), _comp(right))
-        scrutinee = _stage(expr.scrutinee, scope)
         sp, sc = scrutinee[0], scrutinee[1]
 
         def case(env, lib, v=None):  # reads a pure scrutinee itself: one frame per nested case
@@ -649,93 +576,139 @@ def _stage(expr: CtxExpr, scope=None):
                 v = sc(env, lib)
             return lc((v.value, env), lib) if isinstance(v, DLeft) else rc((v.value, env), lib)
 
-        return (pure, case, ()) if sp else _then(scrutinee, lambda v, env, lib: case(env, lib, v), pure)
-    if isinstance(expr, Let):
-        bound, body = _stage(expr.bound, scope), _stage(expr.body, (expr.var, scope))
-        body_pure, bc = body[0], body[1] if body[0] else _comp(body)
-        if bound[0]:  # one frame per nested binding, no deeper than the parser goes
-            return body_pure, lambda env, lib: bc((bound[1](env, lib), env), lib), ()
-        return _then(bound, lambda v, env, lib: bc((v, env), lib), body_pure)
-    # an `io` call: `translate` typed the term first, so no other node reaches here
-    op, (_, _, to_arg, of_ok) = expr.op, IO_SIG[expr.op]
-    call = lambda dv, env, lib: lib.call(op, to_arg(dv))
-    done = lambda r, env, lib: DRight(DErr(r.code, r.why)) if is_err(r) else DLeft(of_ok(r.value))
-    return False, _then(_stage(expr.arg, scope), call, False)[1], (done,)
+        staged = (pure, case, ()) if sp else _then(scrutinee, lambda v, env, lib: case(env, lib, v), pure)
+        return left_t, staged
+    if type(expr) in _LITERALS:
+        actual, kind = _LITERALS[type(expr)]
+        value = kind(expr.value) if kind else DUnit()
+        staged = True, lambda env, lib: value, ()
+    elif isinstance(expr, Var):
+        cell, i = scope, 0
+        while type(cell) is tuple and cell[0] != expr.name:
+            cell, i = cell[2], i + 1
+        if type(cell) is tuple:
+            actual, staged = cell[1], (True, _read(i), ())
+        elif expr.name in cell:
+            prim = _PRIMS[expr.name]
+            actual, staged = cell[expr.name], (True, lambda env, lib: prim, ())
+        else:
+            _fail(path, f"unbound variable {expr.name!r}")
+    elif isinstance(expr, App):
+        fn_t, fn = _elab(expr.fn, scope, (".fn", path))
+        if not isinstance(fn_t, ArrowT):
+            _fail(path, f"applied expression has type {tystr(fn_t)}, not a function")
+        arg = _elab(expr.arg, scope, (".arg", path), fn_t.doms[0])[1]
+        actual = fn_t.cod
+        if fn[0]:  # a pure function position reads the same after the argument's effects
+            staged = _then(arg, lambda a, env, lib: fn[1](env, lib).fn(a), False)
+        elif arg[0]:
+            staged = _then(fn, lambda f, env, lib: f.fn(arg[1](env, lib)), False)
+        else:
+            ac = _comp(arg)
+            staged = _then(fn, lambda f, env, lib: Bind(ac(env, lib), f.fn), False)
+    elif isinstance(expr, PairE):  # against a pair type, checked part by part
+        parts = (expected.fst, expected.snd) if isinstance(expected, PairT) else (None, None)
+        fst_t, fst = _elab(expr.fst, scope, (".fst", path), parts[0])
+        snd_t, snd = _elab(expr.snd, scope, (".snd", path), parts[1])
+        actual = PairT(fst_t, snd_t)
+        if snd[0]:
+            staged = _then(fst, lambda a, env, lib: DPair(a, snd[1](env, lib)), True)
+        elif fst[0]:
+            staged = _then(snd, lambda b, env, lib: DPair(fst[1](env, lib), b), True)
+        else:
+            sc = _comp(snd)
+            staged = _then(fst, lambda a, env, lib: Bind(sc(env, lib), lambda b: Ret(DPair(a, b))), False)
+    elif isinstance(expr, Proj):
+        pair_t, pair = _elab(expr.expr, scope, ("." + expr.side, path))
+        if not isinstance(pair_t, PairT):
+            _fail(path, f"projection from type {tystr(pair_t)}, not a pair")
+        first = expr.side == "fst"
+        actual = pair_t.fst if first else pair_t.snd
+        staged = _then(pair, lambda p, env, lib: p.fst if first else p.snd, True)
+    elif isinstance(expr, IoCall):
+        op, (arg_t, ok_t, to_arg, of_ok) = expr.op, IO_SIG[expr.op]
+        arg = _elab(expr.arg, scope, (".arg", path), arg_t)[1]
+        actual = EitherT(ok_t, ErrT())
+        call = lambda dv, env, lib: lib.call(op, to_arg(dv))
+        done = lambda r, env, lib: DRight(DErr(r.code, r.why)) if is_err(r) else DLeft(of_ok(r.value))
+        staged = False, _then(arg, call, False)[1], (done,)
+    else:
+        raise TypeError(f"unknown expression {expr!r}")
+    if expected is not None and actual != expected:
+        _fail(path, f"has type {tystr(actual)}, needs {tystr(expected)}")
+    return actual, staged
 
 
-def _plain(td: TypeDesc) -> bool:
-    """Adapting a value of type `td` is the identity: no arrow inside it
-    takes two or more arguments."""
-    return not (isinstance(td, ArrowT) and len(td.doms) > 1) and all(map(_plain, components(td)))
+# ---------------------------------------------------------------------------
+# Translation
+# ---------------------------------------------------------------------------
 
 
-def _adapt_out(v: DynValue, td: TypeDesc) -> DynValue:
-    """Shape a language value to the boundary type (uncurry functions)."""
-    if _plain(td):
-        return v
+def _adapter(td: TypeDesc, out: bool):
+    """Stage the shaping of a value of boundary type `td`: for the boundary
+    if `out` (uncurry the language's functions), for language code if not
+    (curry the boundary's).  None where that is the identity: no arrow of two
+    or more arguments sits in `td`."""
     if isinstance(td, ArrowT):
-        doms, cod, n = td.doms, td.cod, len(td.doms)
-        plain, plain_cod = [*map(_plain, doms)], _plain(cod)  # decided once per value
+        doms, cod, n = [_adapter(dom, not out) for dom in td.doms], _adapter(td.cod, out), len(td.doms)
+        if doms == [None] and cod is None:
+            return None
+        if out:
 
-        def fn(*args, m=Ret(v), i=0):
-            # apply the curried value to `args[i:]`: a step that returns a
-            # `Ret` is consumed in place (bind (return f) k = k f)
-            while i < n:
-                if type(m) is not Ret:
-                    return Bind(m, lambda f: fn(*args, m=Ret(f), i=i))
-                m = m.value.fn(args[i] if plain[i] else _adapt_in(args[i], doms[i]))
-                i += 1
-            return m if plain_cod else Bind(m, lambda r: Ret(_adapt_out(r, cod)))
+            def adapt(v):
+                def fn(*args, m=Ret(v), i=0):
+                    # apply the curried value to `args[i:]`: a step that returns a
+                    # `Ret` is consumed in place (bind (return f) k = k f)
+                    while i < n:
+                        if type(m) is not Ret:
+                            return Bind(m, lambda f: fn(*args, m=Ret(f), i=i))
+                        m = m.value.fn(args[i] if doms[i] is None else doms[i](args[i]))
+                        i += 1
+                    return m if cod is None else Bind(m, lambda r: Ret(cod(r)))
 
-        return DClosure(fn)
+                return DClosure(fn)
+
+        else:
+
+            def adapt(v):
+                def chain(collected):
+                    if len(collected) < n:
+                        return Ret(DClosure(lambda arg: chain(collected + [arg])))
+                    m = v.fn(*(a if dom is None else dom(a) for a, dom in zip(collected, doms)))
+                    return m if cod is None else Bind(m, lambda r: Ret(cod(r)))
+
+                return DClosure(lambda arg: chain([arg]))
+
+        return adapt
+    parts = [_adapter(part, out) for part in components(td)]
+    if not any(parts):
+        return None
+    a, b = (part or (lambda v: v) for part in parts)
     if isinstance(td, PairT):
-        return DPair(_adapt_out(v.fst, td.fst), _adapt_out(v.snd, td.snd))
-    if isinstance(v, DLeft):
-        return DLeft(_adapt_out(v.value, td.left))
-    return DRight(_adapt_out(v.value, td.right))
-
-
-def _adapt_in(v: DynValue, td: TypeDesc) -> DynValue:
-    """Shape a boundary value for language code (curry functions)."""
-    if _plain(td):
-        return v
-    if isinstance(td, ArrowT):
-        doms, cod, n = td.doms, td.cod, len(td.doms)
-        plain, plain_cod = [*map(_plain, doms)], _plain(cod)
-
-        def chain(collected):
-            if len(collected) < n:
-                return Ret(DClosure(lambda arg: chain(collected + [arg])))
-            m = v.fn(*(a if p else _adapt_out(a, d) for a, p, d in zip(collected, plain, doms)))
-            return m if plain_cod else Bind(m, lambda r: Ret(_adapt_in(r, cod)))
-
-        return DClosure(lambda arg: chain([arg]))
-    if isinstance(td, PairT):
-        return DPair(_adapt_in(v.fst, td.fst), _adapt_in(v.snd, td.snd))
-    if isinstance(v, DLeft):
-        return DLeft(_adapt_in(v.value, td.left))
-    return DRight(_adapt_in(v.value, td.right))
+        return lambda v: DPair(a(v.fst), b(v.snd))
+    return lambda v: DLeft(a(v.value)) if isinstance(v, DLeft) else DRight(b(v.value))
 
 
 def translate(expr: CtxExpr, ctype: TypeDesc):
     """Typed source text to target context.  Total on typed terms.  The term
-    is staged once, here; each link only runs the staged code."""
-    typecheck(expr, ctype)
-    code = _comp(_stage(expr))
+    is typed and staged once, here, and so is the adapter that shapes its
+    value to `ctype`; each link only runs the staged code."""
+    code = _comp(_elab(expr, PRIM_TYPES, "term", curried_view(ctype))[1])
+    adapt = _adapter(ctype, True)
 
     def target_ctx(lib: SecureIoLib) -> DynValue:
         # A context is a value: it may not reach an operation call.
         try:
             next(evaluate(code(None, lib)))
         except StopIteration as done:
-            return _adapt_out(done.value, ctype)
+            return done.value if adapt is None else adapt(done.value)
         raise TranslateError("a context must be a value; effects belong inside its functions")
 
     return target_ctx
 
 
 def load(text: str, ctype: TypeDesc):
-    """`translate` of source text; a term too deep to parse, check or stage is a `ParseError`."""
+    """`translate` of source text; a term too deep to parse or to type and stage is a `ParseError`."""
     try:
         return translate(parse(text), ctype)
     except RecursionError:
@@ -765,9 +738,7 @@ def _pp(expr: CtxExpr, level: int) -> str:
         )
     if isinstance(expr, App):
         return _wrap(f"{_pp(expr.fn, 1)} {_pp(expr.arg, 2)}", level > 1)
-    if isinstance(expr, Proj):
-        return _wrap(f"{expr.side} {_pp(expr.expr, 2)}", level > 1)
-    if isinstance(expr, Inject):
+    if isinstance(expr, (Proj, Inject)):
         return _wrap(f"{expr.side} {_pp(expr.expr, 2)}", level > 1)
     if isinstance(expr, IoCall):
         return _wrap(f"io {expr.op.value} {_pp(expr.arg, 2)}", level > 1)
@@ -788,15 +759,8 @@ def _wrap(text: str, needed: bool) -> str:
     return f"({text})" if needed else text
 
 
-_UNESCAPES = {raw: "\\" + esc for esc, raw in _ESCAPES.items()}
+_UNESCAPES = {raw[0]: "\\" + esc for esc, raw in _ESCAPES.items()}
 
 
 def _escape(data: bytes) -> str:
-    out = []
-    for i in range(len(data)):
-        b = data[i : i + 1]
-        if b in _UNESCAPES:
-            out.append(_UNESCAPES[b])
-        else:
-            out.append(b.decode("latin-1"))
-    return "".join(out)
+    return "".join(_UNESCAPES.get(b, chr(b)) for b in data)  # chr(b) is the latin-1 character

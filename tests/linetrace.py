@@ -9,7 +9,9 @@ It counts the lines of every function code object (module and class bodies
 run at import and are not counted), without the function's first line, the
 `def` or its first decorator.  A line counts as run when some frame of its
 own code object ran it.  The run fails when any unrun line is missing from
-`ALLOWED`, which gives each line it excuses a reason.
+`ALLOWED`, which gives each line it excuses a reason, and when an entry of
+`ALLOWED` matches no unrun line, because its line was deleted or now runs:
+an excuse does not outlive its line.
 
 `sys.settrace` is armed when the plugin is imported, so the functions that
 run while seclink is imported are seen too, and again before each test's
@@ -122,12 +124,16 @@ def pytest_sessionfinish(session, exitstatus):
     sys.settrace(None)
     total, unrun = unrun_lines()
     unexcused = [u for u in unrun if (u[0], u[2]) not in ALLOWED]
+    stale = sorted(set(ALLOWED) - {(rel, text) for rel, _line, text in unrun})
     _report.append(f"linetrace: {len(unrun)} of {total} function-body lines in src/seclink unrun")
     for rel, line, text in unrun:
         why = ALLOWED.get((rel, text))
         _report.append(f"  {rel}:{line}: {text}" + (f"  [allowed: {why}]" if why else ""))
     if unexcused:
         _report.append(f"linetrace: {len(unexcused)} unrun line(s) not in ALLOWED")
+    for rel, text in stale:
+        _report.append(f"linetrace: stale ALLOWED entry, no unrun line in {rel} reads: {text}")
+    if unexcused or stale:
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 

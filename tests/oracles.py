@@ -37,7 +37,7 @@ from seclink.ctxdsl import (
     TranslateError,
     UnitLit,
     Var,
-    _adapt_out,
+    _adapter,
     _prim_closures,
     curried_view,
     typecheck,
@@ -212,12 +212,13 @@ def _eval(expr: CtxExpr, env: dict, lib: SecureIoLib) -> Comp:
 def reference_translate(expr: CtxExpr, ctype: TypeDesc):
     """`ctxdsl.translate` on the reference evaluator."""
     typecheck(expr, curried_view(ctype))
+    adapt = _adapter(ctype, True) or (lambda v: v)
 
     def target_ctx(lib: SecureIoLib) -> DynValue:
         try:
             next(evaluate(_eval(expr, _prim_closures(), lib)))
         except StopIteration as done:
-            return _adapt_out(done.value, ctype)
+            return adapt(done.value)
         raise TranslateError("a context must be a value; effects belong inside its functions")
 
     return target_ctx

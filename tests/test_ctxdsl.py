@@ -48,9 +48,8 @@ from seclink.ctxdsl import (
     TypecheckError,
     UnitLit,
     Var,
-    _infer,
+    _elab,
     _prim_closures,
-    _stage,
     curried_view,
     load,
     parse,
@@ -366,10 +365,14 @@ def _effectful(ty, env, depth):
     """The effectful forms of `_terms_of(ty, env, depth + 1, effects=True)`."""
     sub = lambda t, e=env: _terms_of(t, e, depth, True)
 
+    scope = PRIM_TYPES
+    for name, bound in env.items():
+        scope = (name, bound, scope)
+
     def inferred(t):  # where the checker infers a type, annotate terms it cannot
         def annotate(e):
             try:
-                _infer(e, {**PRIM_TYPES, **env}, "term")
+                _elab(e, scope, "term")
                 return e
             except TypecheckError:
                 return App(Lam("x", t, Var("x")), e)
@@ -540,6 +543,17 @@ def test_curried_view_of_handler_type():
     assert HANDLER_T == ArrowT((FdT(),), ArrowT((BytesT(),), ArrowT((SEND_T,), EitherT(UnitT(), ErrT()))))
 
 
+def test_a_nullary_boundary_arrow_is_refused_before_any_link():
+    # the language has no thunks: a context would read a `() -> X` argument
+    # as an `X`, so `load` refuses the boundary type by name
+    thunk = ArrowT((), EitherT(UnitT(), ErrT()))
+    source = "\\t:(either unit err). case t of inl u => 1 | inr e => 0"
+    with pytest.raises(TypecheckError, match="nullary arrow to either unit err"):
+        load(source, ArrowT((thunk,), IntT()))
+    with pytest.raises(TypecheckError, match="nullary arrow"):
+        curried_view(PairT(IntT(), thunk))
+
+
 # -- staging against the reference evaluator ------------------------------------
 
 
@@ -580,7 +594,7 @@ def _same(ty, a, b) -> bool:
 @settings(max_examples=200, deadline=None)
 def test_staged_value_equals_reference(pair):
     ty, term = pair
-    pure, code, post = _stage(term)
+    pure, code, post = _elab(term, PRIM_TYPES, "term", ty)[1]
     assert pure and not post  # these terms have no `io` and no application
     assert _same(ty, code(None, None), _value_of(oracles._eval(term, _prim_closures(), None)))
 

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from seclink.contracts import DBytes, DClosure, DFd, DInt, DLeft, DUnit, check_tree
+from seclink.contracts import DBytes, DClosure, DErr, DFd, DInt, DLeft, DRight, DUnit, check_tree
 from seclink.demos import (
     BUNDLES,
     attribute_mechanism,
@@ -18,10 +18,10 @@ from seclink.demos import (
     webserver_bundle,
     zip_bundle,
 )
-from seclink.demos.dsl_handlers import DSL_HANDLER_SOURCES
+from seclink.demos.dsl_handlers import DSL_HANDLER_SOURCES, HANDLER_PREFIX
 from seclink.demos import webserver
 from seclink.demos.harness import webserver_interface
-from seclink.effects import Caller, IoOp, bind, call_io, contract_failure, do, is_ok, ret
+from seclink.effects import Caller, IoOp, bind, call_io, contract_failure, do, is_err, is_ok, ret
 from seclink.httputil import http_ok, request_path, valid_http_request, valid_http_response
 from seclink.interp import interpret
 from seclink.linker import LINK_FAILURE_EXIT
@@ -120,6 +120,42 @@ def test_dsl_contexts_match_matrix(ws_bundle):
             assert found is None
         else:
             assert found is not None and found.startswith(expected)
+
+
+def _on_client(op):
+    """A host handler that calls `op` on the client's descriptor, which it did not open."""
+
+    def handler(lib):
+        @do
+        def run(client, _req, _send):
+            result = yield lib.call(op, client.fd)
+            return DRight(DErr(result.code, result.why)) if is_err(result) else DLeft(DUnit())
+
+        return DClosure(run)
+
+    return handler
+
+
+# Adversaries for the policy's READ/CLOSE ownership clause, as host closures
+# and as source text; no shipped handler touches a descriptor it did not open.
+OWNERSHIP_ADVERSARIES = {
+    "close-client": (_on_client(IoOp.CLOSE), "policy:Close"),
+    "read-client": (_on_client(IoOp.READ), "policy:Read"),
+    "dsl-close-client": (HANDLER_PREFIX + "case io Close c of inl u => inl () | inr e => inr e", "policy:Close"),
+    "dsl-read-client": (HANDLER_PREFIX + "case io Read c of inl d => inl () | inr e => inr e", "policy:Read"),
+}
+
+
+def test_handlers_that_close_or_read_the_clients_descriptor_are_refused():
+    bundle = webserver_bundle()
+    for name, (ctx, mechanism) in OWNERSHIP_ADVERSARIES.items():
+        (bundle.dsl_sources if isinstance(ctx, str) else bundle.contexts)[name] = ctx
+        bundle.expected_mechanism[name] = mechanism
+        assert attribute_mechanism(bundle.interface, bundle.context(name)) == mechanism
+        for i, world in enumerate(bundle.worlds):
+            report = run_scenario(bundle, name, world, i)
+            assert report.ok, report.render_text()
+            assert all(e.caller is Caller.PROG for e in report.run.local), name
 
 
 def test_path_escape_is_blocked(ws_bundle):

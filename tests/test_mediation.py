@@ -121,8 +121,9 @@ def test_denied_call_leaves_the_run_as_it_was():
 
     world = make_world(files={"/temp/a.txt": b"x", "/etc/passwd": b"root"})
     runs = [interpret(prog(flag), world, lib.desc) for flag in (False, True)]
-    plain, denied = ((r.local, r.mstate, r.ctx_events, r.monitored_calls) for r in runs)
+    plain, denied = ((r.local, r.mstate, r.ctx_events, r.monitored_calls, r.world) for r in runs)
     assert denied == plain and plain[2] == plain[3] == 2
+    assert runs[1].world.next_fd == runs[0].world.next_fd == 5  # the denied open allocated no descriptor
 
 
 # -- nesting ---------------------------------------------------------------------
